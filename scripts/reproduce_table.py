@@ -11,39 +11,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from welschinger import Evaluator, make_surface, welschinger  # noqa: E402
-
-COLUMNS = [
-    ("P2[6,0]", ("P2", 6, 0, "0"), {"-K": "-K", "-2K": "-2K"}),
-    ("P2[4,1]", ("P2", 4, 1, "0"), {"-K": "-K", "-2K": "-2K"}),
-    ("P2[2,2]", ("P2", 2, 2, "0"), {"-K": "-K", "-2K": "-2K"}),
-    ("P2[0,3]", ("P2", 0, 3, "0"), {"-K": "-K", "-2K": "-2K"}),
-    ("B,0", ("B", 0, 0, "0"), {"-K": "2,1,1", "-2K": "4,2,2"}),
-    ("B,F", ("B", 0, 0, "F"), {"-K": "2,1,1", "-2K": "4,2,2"}),
-    ("B1,0", ("B1", 0, 0, "0"), {"-K": "-K", "-2K": "-2K"}),
-    ("B1,F", ("B1", 0, 0, "F"), {"-K": "-K", "-2K": "-2K"}),
-]
-
-EXPECTED = {
-    "-K": [8, 6, 4, 2, 0, 4, 0, 4],
-    "-2K": [1000, 522, 236, 78, 0, 512, 0, 160],
-}
+from welschinger import Evaluator, parse_surface, welschinger  # noqa: E402
+from welschinger.cli import CONIC_ROWS, GOLDEN_TABLE, TABLE_COLUMNS  # noqa: E402
 
 
 def main() -> int:
-    rows = {"-K": [], "-2K": []}
-    for name, (model, a, b, twist), classes in COLUMNS:
-        spec = make_surface(model, a, b, twist=twist)
+    rows = {row: [] for row in GOLDEN_TABLE}
+    for surface, twist, kind in TABLE_COLUMNS:
+        spec = parse_surface(surface, twist=twist)
         ev = Evaluator(spec)
         started = time.perf_counter()
-        for row, text in classes.items():
+        for row in rows:
+            text = CONIC_ROWS[row] if kind == "conic" else row
             rows[row].append(welschinger(spec, spec.parse_class(text), ev))
         elapsed = time.perf_counter() - started
+        name = f"{surface},{twist}"
         print(f"{name:9s} {elapsed:7.2f}s  memo={ev.cache_stats()['entries']}")
     ok = True
     for row, values in rows.items():
-        status = "ok" if values == EXPECTED[row] else "MISMATCH"
-        ok = ok and values == EXPECTED[row]
+        expected = list(GOLDEN_TABLE[row])
+        status = "ok" if values == expected else "MISMATCH"
+        ok = ok and values == expected
         print(f"{row:4s} {values}  [{status}]")
     return 0 if ok else 1
 

@@ -36,6 +36,7 @@ from .invariants import (
     top_key,
     welschinger,
 )
+from .picard import CUBIC_LATTICE, P2_LATTICE, class_to_str
 from .surfaces import SurfaceSpec, parse_surface
 from .tangency import TangencyVector
 
@@ -78,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="auxiliary (-1)-curve, class DSL")
         p.add_argument("--cache", default=None, help="persistent store path")
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--json", action="store_true")
         p.add_argument("--csv", action="store_true")
         p.add_argument("--no-timing", action="store_true")
@@ -146,14 +146,19 @@ def _load_store(path: Optional[str]) -> Store:
     return {}
 
 
-def _evaluator(spec: SurfaceSpec, args) -> Tuple[Evaluator, Optional[str], Store]:
+def _evaluator(spec: SurfaceSpec, args) -> Tuple[Evaluator, Optional[str], Store, int]:
+    """The evaluator, the store path, the loaded store and the number of
+    records the evaluator adopted from it."""
     path = _cache_path(args)
     store = _load_store(path)
-    return Evaluator(spec, store=store), path, store
+    ev = Evaluator(spec)
+    return ev, path, store, ev.preload(store)
 
 
-def _save(ev: Evaluator, path: Optional[str], store: Store) -> None:
-    if path:
+def _save(ev: Evaluator, path: Optional[str], store: Store, loaded: int) -> None:
+    # The memo starts as the adopted records, so it holds a record the
+    # store lacks exactly when it has grown.
+    if path and ev.cache_stats()["entries"] > loaded:
         ev.dump(store)
         cache_save(store, path)
 
@@ -161,9 +166,9 @@ def _save(ev: Evaluator, path: Optional[str], store: Store) -> None:
 def cmd_compute(args) -> int:
     spec = _spec(args)
     d = spec.parse_class(args.class_text)
-    ev, path, store = _evaluator(spec, args)
+    ev, path, store, loaded = _evaluator(spec, args)
     report = invariant_report(spec, d, ev)
-    _save(ev, path, store)
+    _save(ev, path, store, loaded)
     if args.json:
         payload = {
             "surface": report.surface_id,
@@ -240,7 +245,7 @@ def cmd_table(args) -> int:
 def cmd_trace(args) -> int:
     spec = _spec(args)
     d = spec.parse_class(args.class_text)
-    ev, path, store = _evaluator(spec, args)
+    ev, path, store, loaded = _evaluator(spec, args)
     if args.alpha is None and args.beta is None:
         key = top_key(spec, d)
     else:
@@ -252,7 +257,7 @@ def cmd_trace(args) -> int:
         key = make_key(spec, d, alpha, beta)
     records = ev.expand(key)
     total = ev.eval(key)
-    _save(ev, path, store)
+    _save(ev, path, store, loaded)
     for record in records:
         print(json.dumps(record.to_dict(spec), sort_keys=True))
     print(json.dumps({"total": str(total)}))
@@ -281,10 +286,10 @@ def cmd_scan(args) -> int:
         raise ValidationError("scan bound must be >= 1")
     mode = args.mode
     spec = _spec(args)
-    ev, path, store = _evaluator(spec, args)
+    ev, path, store, loaded = _evaluator(spec, args)
     violations = 0
     if mode == "positivity":
-        rows = positivity_scan(spec, args.bound, ev, threads=args.threads)
+        rows = positivity_scan(spec, args.bound, ev)
         out = [(spec.class_str(d), str(v), "ok" if pos else "NON-POSITIVE")
                for d, v, pos in rows]
         violations = sum(1 for _, _, pos in rows if not pos)
@@ -312,18 +317,18 @@ def cmd_scan(args) -> int:
         violations = sum(1 for r in rows if not r[4])
         _emit_rows(args, ["class", "relabeled", "value", "value2", "status"], out)
     elif mode == "blowdown":
-        rows = blowdown_scan(args.bound)
-        out = [(spec.class_str(d), v1, v2, "ok" if same else "VIOLATION")
+        rows = blowdown_scan(args.bound)  # classes of the rank-7 model
+        out = [(class_to_str(P2_LATTICE, d), v1, v2, "ok" if same else "VIOLATION")
                for d, v1, v2, same in rows]
         violations = sum(1 for r in rows if not r[3])
         _emit_rows(args, ["class", "full", "filtered", "status"], out)
     else:  # epath
-        rows = path_equivalence_scan(args.bound)
-        out = [(spec.class_str(d), v1, v2, "ok" if same else "VIOLATION")
+        rows = path_equivalence_scan(args.bound)  # classes of the cubic
+        out = [(class_to_str(CUBIC_LATTICE, d), v1, v2, "ok" if same else "VIOLATION")
                for d, v1, v2, same in rows]
         violations = sum(1 for r in rows if not r[3])
         _emit_rows(args, ["class", "full", "reduced", "status"], out)
-    _save(ev, path, store)
+    _save(ev, path, store, loaded)
     return 1 if violations else 0
 
 
@@ -345,9 +350,9 @@ def cmd_chain(args) -> int:
 def cmd_growth(args) -> int:
     spec = _spec(args)
     d = spec.parse_class(args.class_text)
-    ev, path, store = _evaluator(spec, args)
+    ev, path, store, loaded = _evaluator(spec, args)
     rows = growth_report(spec, d, args.n_max, ev)
-    _save(ev, path, store)
+    _save(ev, path, store, loaded)
     out = [
         (r.n, str(r.value), "" if r.ratio is None else f"{r.ratio:.6f}")
         for r in rows
@@ -370,8 +375,7 @@ def cmd_cache(args) -> int:
 
 _VALUE_FLAGS = {
     "--class", "--from", "--to", "--alpha", "--beta", "--E", "--surface",
-    "--blowdown", "--cache", "--twist", "--bound", "--mode", "--threads",
-    "--n-max",
+    "--blowdown", "--cache", "--twist", "--bound", "--mode", "--n-max",
 }
 
 

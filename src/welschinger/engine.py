@@ -29,11 +29,10 @@ All arithmetic is exact (Python integers); the only divisions are inside
 integer multinomials.  Values are memoized per canonical key; the store
 round-trips through a small versioned text format, one record per line.
 
-On the two-component cubic with the component twist there is a second,
-independently coded evaluation route with no l-parameter and no pair
-items, whose rigid factors are restricted to real lines.  It keeps its own
-memo, so cross-route equality is a genuine check rather than a cache
-read-back.
+On the two-component cubic with the component twist a second route runs
+through the same recursion with restricted summands: l = 0 only, no pair
+items, and rigid factors restricted to real lines.  It keeps its own memo,
+so cross-route equality is a genuine check rather than a cache read-back.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import CacheError, InternalCheckError, ValidationError
 from .picard import DivisorClass, candidate_factors, class_to_str
@@ -61,8 +60,6 @@ Store = Dict[str, int]
 
 CACHE_HEADER = "WELSCHINGER-CACHE v1"
 
-ValueFn = Callable[[DivisorClass, TangencyVector, TangencyVector], int]
-
 
 @dataclass(frozen=True)
 class EvalKey:
@@ -72,11 +69,6 @@ class EvalKey:
     d: DivisorClass
     alpha: TangencyVector
     beta: TangencyVector
-
-    def serialize(self, spec: SurfaceSpec) -> str:
-        return "|".join(
-            (self.surface_id, spec.class_str(self.d), str(self.alpha), str(self.beta))
-        )
 
 
 def make_key(
@@ -177,6 +169,17 @@ class _Block:
     opts: Tuple[_Option, ...]
 
 
+@dataclass(frozen=True)
+class _Route:
+    """Which summands one route through the recursion admits, and its memo."""
+
+    memo: Dict[tuple, int]
+    l_max: float  # largest l of the split sum: math.inf or 0
+    # admitted subsets of the pair menu: (item ids, class sum, weight)
+    pair_subsets: Tuple[Tuple[Tuple[str, ...], DivisorClass, int], ...]
+    rigid_lines_only: bool  # rigid factors must be real lines other than E
+
+
 def _tv_key(v: TangencyVector) -> Tuple:
     return v.key()
 
@@ -235,11 +238,6 @@ class Evaluator:
         self.hits = 0
         self.misses = 0
         self.debug_rational = debug_rational
-        self._memo: Dict[tuple, int] = {}
-        self._fast_memo: Dict[tuple, int] = {}
-        # The factor search stops early on budget overruns only while the
-        # block list is sorted; order-robustness tests clear this flag.
-        self._assume_sorted_blocks = True
         self._options_cache: Dict[Tuple[int, ...], Tuple[_Option, ...]] = {}
         self._candidates_cache: Dict[int, Tuple[DivisorClass, ...]] = {}
         self._flat_cache: Dict[Tuple[int, bool], Tuple[_Option, ...]] = {}
@@ -254,7 +252,9 @@ class Evaluator:
                 total = total + menu[i].class_sum
                 weight *= menu[i].weight
             subsets.append((tuple(menu[i].item_id for i in idxs), total, weight))
-        self._pair_subsets = tuple(subsets)
+        self._full = _Route({}, math.inf, tuple(subsets), False)
+        # The reduced route of the twisted cubic; subsets[0] is the empty one.
+        self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
         if store:
             self.preload(store)
@@ -266,7 +266,7 @@ class Evaluator:
             raise ValidationError(
                 f"key for {key.surface_id} evaluated on {self.spec.surface_id}"
             )
-        return self._value(key.d, key.alpha, key.beta)
+        return self._value(self._full, key.d, key.alpha, key.beta)
 
     def expand(self, key: EvalKey) -> List[TermRecord]:
         """The exact top-level summands whose contributions total eval(key)."""
@@ -283,14 +283,14 @@ class Evaluator:
             return [TermRecord("initial", None, 0, alpha, beta, (), (), 1, weight)]
         records: List[TermRecord] = []
         for k, _ in beta:
-            child = self._value(d, alpha + theta(k), beta - theta(k))
+            child = self._value(self._full, d, alpha + theta(k), beta - theta(k))
             records.append(
                 TermRecord(
                     "first_sum", k, 0, TangencyVector.zero(), TangencyVector.zero(),
                     (), (), 1, child,
                 )
             )
-        split = list(self._split_terms(d, alpha, beta, n))
+        split = list(self._split_terms(self._full, d, alpha, beta, n))
         split.sort(
             key=lambda t: (
                 t.l,
@@ -314,10 +314,13 @@ class Evaluator:
             )
         if key.surface_id != self.spec.surface_id:
             raise ValidationError("key does not match the evaluator surface")
-        return self._fast_value(key.d, key.alpha, key.beta)
+        return self._value(self._reduced, key.d, key.alpha, key.beta)
 
     def cache_stats(self) -> dict:
-        return {"entries": len(self._memo), "hits": self.hits, "misses": self.misses}
+        """Memo size and lookups of the full route, the one the store holds."""
+        return {
+            "entries": len(self._full.memo), "hits": self.hits, "misses": self.misses
+        }
 
     # -- persistent-store bridge ----------------------------------------------------
 
@@ -335,7 +338,7 @@ class Evaluator:
                 b = TangencyVector.parse(b_str)
             except Exception as exc:
                 raise CacheError(f"malformed cache key {key_str!r}: {exc}") from None
-            self._memo[(d.coords, a.key(), b.key())] = value
+            self._full.memo[(d.coords, a.key(), b.key())] = value
             loaded += 1
         return loaded
 
@@ -345,7 +348,7 @@ class Evaluator:
             store = {}
         sid = self.spec.surface_id
         lat = self.spec.lattice
-        for (coords, a_key, b_key), value in self._memo.items():
+        for (coords, a_key, b_key), value in self._full.memo.items():
             d_str = class_to_str(lat, DivisorClass(coords))
             a_str = _entries_str(a_key)
             b_str = _entries_str(b_key)
@@ -355,14 +358,19 @@ class Evaluator:
     # -- main recursion ------------------------------------------------------------
 
     def _value(
-        self, d: DivisorClass, alpha: TangencyVector, beta: TangencyVector
+        self,
+        route: _Route,
+        d: DivisorClass,
+        alpha: TangencyVector,
+        beta: TangencyVector,
     ) -> int:
         key = (d.coords, alpha.key(), beta.key())
-        cached = self._memo.get(key)
+        counted = route is self._full  # cache_stats covers the full route only
+        cached = route.memo.get(key)
         if cached is not None:
-            self.hits += 1
+            self.hits += counted
             return cached
-        self.misses += 1
+        self.misses += counted
         n = self.spec.r_dim_class(d, norm(beta))
         if n < 0:
             value = 0
@@ -371,21 +379,26 @@ class Evaluator:
         else:
             value = 0
             for k, _ in beta:
-                value += self._value(d, alpha + theta(k), beta - theta(k))
-            for term in self._split_terms(d, alpha, beta, n):
+                value += self._value(route, d, alpha + theta(k), beta - theta(k))
+            for term in self._split_terms(route, d, alpha, beta, n):
                 value += term.contribution
-        self._memo[key] = value
+        route.memo[key] = value
         return value
 
     def _split_terms(
-        self, d: DivisorClass, alpha: TangencyVector, beta: TangencyVector, n: int
+        self,
+        route: _Route,
+        d: DivisorClass,
+        alpha: TangencyVector,
+        beta: TangencyVector,
+        n: int,
     ) -> Iterator[TermRecord]:
         spec = self.spec
         ke = spec.k_plus_e()
         de = spec.e_degree(d)
         budget = spec.antik_degree(d - spec.e_class)
         blocks = (
-            self._local_blocks(budget, False, d - spec.e_class)
+            self._local_blocks(budget, route.rigid_lines_only, d - spec.e_class)
             if budget >= 1
             else ()
         )
@@ -401,7 +414,7 @@ class Evaluator:
                 bm_target = beta - beta0
                 ns_target = n1 - nb0
                 l = 0
-                while True:
+                while l <= route.l_max:
                     c = 2 * l + ia0 + ib0
                     te = de + 1 - 2 * c
                     if te < 0:
@@ -409,21 +422,20 @@ class Evaluator:
                     t_class = d - spec.e_class + ke * c
                     if spec.e_degree(t_class) != te:
                         raise InternalCheckError("degree bookkeeping failed on T")
-                    for pair_ids, pair_total, pair_weight in self._pair_subsets:
+                    for pair_ids, pair_total, pair_weight in route.pair_subsets:
                         t2 = t_class - pair_total
                         for chosen in self._factor_multisets(
-                            t2, alpha_budget, bm_target, ns_target, blocks,
-                            self._memo, self._value,
+                            route, t2, alpha_budget, bm_target, ns_target, blocks
                         ):
                             yield self._make_term(
-                                n1, l, alpha, alpha0, beta0, nb0, chosen,
+                                route, n1, l, alpha, alpha0, beta0, nb0, chosen,
                                 pair_ids, pair_weight,
-                                with_l_weight=True, value_fn=self._value,
                             )
                     l += 1
 
     def _make_term(
         self,
+        route: _Route,
         n1: int,
         l: int,
         alpha: TangencyVector,
@@ -433,10 +445,8 @@ class Evaluator:
         chosen: Tuple[Tuple[_Option, TangencyVector, TangencyVector, int], ...],
         pair_ids: Tuple[str, ...],
         pair_weight: int,
-        with_l_weight: bool,
-        value_fn: ValueFn,
     ) -> TermRecord:
-        l_weight = l + 1 if with_l_weight else 1
+        l_weight = l + 1
         n_parts = [opt.n_i for opt, _, _, _ in chosen]
         coeff = (1 << nb0) * _multinomial_exact(
             n1, n_parts + [cnt for _, cnt in beta0], "sum n_i = n-1-|beta0|"
@@ -458,7 +468,7 @@ class Evaluator:
         value = coeff * pair_weight
         for opt, gamma, _, bweight in chosen:
             coeff *= bweight
-            fval = value_fn(opt.cls, opt.alpha, opt.beta)
+            fval = self._value(route, opt.cls, opt.alpha, opt.beta)
             value *= bweight * fval
             factors.append(
                 FactorRecord(opt.cls, opt.alpha, opt.beta, gamma, opt.n_i, fval)
@@ -602,21 +612,20 @@ class Evaluator:
 
     def _factor_multisets(
         self,
+        route: _Route,
         t_class: DivisorClass,
         alpha_budget: TangencyVector,
         bm_target: TangencyVector,
         ns_target: int,
         blocks: Tuple[_Block, ...],
-        memo: Dict[tuple, int],
-        compute_fn: ValueFn,
     ) -> Iterator[Tuple[Tuple[_Option, TangencyVector, TangencyVector, int], ...]]:
         """Unordered factor collections matching all budgets exactly.
 
         Yields tuples of (option, gamma, beta_minus_gamma, binom weight) in
         non-decreasing canonical order; each unordered collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
-        each; in reduced mode they are further restricted to real lines
-        other than E carrying a single simple moving branch.
+        each; the blocks of the reduced route further restrict them to real
+        lines other than E carrying a single simple moving branch.
         """
         spec = self.spec
         t0 = t_class.coords
@@ -628,7 +637,8 @@ class Evaluator:
         zero_t = self._zero_coords
         feasible = self._feasible
         n_blocks = len(blocks)
-        sorted_blocks = self._assume_sorted_blocks
+        memo = route.memo
+        value_of = self._value
 
         def dfs(
             b0: int,
@@ -656,9 +666,7 @@ class Evaluator:
                 blk = blocks[bi]
                 new_ak = ak_rem - blk.antik
                 if new_ak < 0:
-                    if sorted_blocks:
-                        break  # ascending anticanonical degree
-                    continue
+                    break  # blocks ascend in anticanonical degree
                 new_te = te_rem - blk.e_deg
                 if new_te < 0:
                     continue
@@ -680,7 +688,7 @@ class Evaluator:
                         continue
                     value = memo.get(opt.memo_key)
                     if value is None:
-                        value = compute_fn(opt.cls, opt.alpha, opt.beta)
+                        value = value_of(route, opt.cls, opt.alpha, opt.beta)
                     if value == 0:
                         continue
                     new_a = a_rem - opt.alpha if opt.ialpha else a_rem
@@ -714,57 +722,6 @@ class Evaluator:
         if t_rem[1] > 1 or t_rem[2] > 1:
             return False
         return t_rem[3] <= 0 and t_rem[4] <= 0 and t_rem[5] <= 0 and t_rem[6] <= 0
-
-    # -- reduced route on the cubic ---------------------------------------------------
-
-    def _fast_value(
-        self, d: DivisorClass, alpha: TangencyVector, beta: TangencyVector
-    ) -> int:
-        key = (d.coords, alpha.key(), beta.key())
-        cached = self._fast_memo.get(key)
-        if cached is not None:
-            return cached
-        spec = self.spec
-        n = spec.r_dim_class(d, norm(beta))
-        if n < 0:
-            value = 0
-        elif n == 0:
-            value = spec.initial_weight(d, alpha, beta)
-        else:
-            value = 0
-            for k, _ in beta:
-                value += self._fast_value(d, alpha + theta(k), beta - theta(k))
-            ke = spec.k_plus_e()
-            de = spec.e_degree(d)
-            budget = spec.antik_degree(d - spec.e_class)
-            blocks = (
-                self._local_blocks(budget, True, d - spec.e_class)
-                if budget >= 1
-                else ()
-            )
-            n1 = n - 1
-            for alpha0 in enumerate_le(alpha):
-                ia0 = iweight(alpha0)
-                alpha_budget = alpha - alpha0
-                for beta0 in enumerate_le(beta):
-                    nb0 = norm(beta0)
-                    if nb0 > n1:
-                        continue
-                    c = ia0 + iweight(beta0)
-                    if de + 1 - 2 * c < 0:
-                        continue
-                    t_class = d - spec.e_class + ke * c
-                    for chosen in self._factor_multisets(
-                        t_class, alpha_budget, beta - beta0, n1 - nb0, blocks,
-                        self._fast_memo, self._fast_value,
-                    ):
-                        term = self._make_term(
-                            n1, 0, alpha, alpha0, beta0, nb0, chosen, (), 1,
-                            with_l_weight=False, value_fn=self._fast_value,
-                        )
-                        value += term.contribution
-        self._fast_memo[key] = value
-        return value
 
 
 def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:

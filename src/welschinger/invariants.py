@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .engine import Evaluator, make_key
 from .errors import InternalCheckError, ValidationError
@@ -258,34 +257,10 @@ def monotonicity_check(
 # -- scans -------------------------------------------------------------------------
 
 
-def _parallel_values(
-    spec: SurfaceSpec,
-    evaluator: Evaluator,
-    classes: Sequence[DivisorClass],
-    threads: int,
-) -> Dict[Tuple[int, ...], int]:
-    reps = {relabel_canonical(spec, d).coords for d in classes}
-    rep_classes = [DivisorClass(c) for c in sorted(reps)]
-
-    def compute(d: DivisorClass) -> Tuple[Tuple[int, ...], int]:
-        return d.coords, welschinger(spec, d, evaluator)
-
-    values: Dict[Tuple[int, ...], int] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for coords, val in pool.map(compute, rep_classes):
-                values[coords] = val
-    else:
-        for d in rep_classes:
-            values[d.coords] = welschinger(spec, d, evaluator)
-    return values
-
-
 def positivity_scan(
     spec: SurfaceSpec,
     antik_bound: int,
     evaluator: Optional[Evaluator] = None,
-    threads: int = 1,
 ) -> List[Tuple[DivisorClass, int, bool]]:
     """All nef-and-big real classes with -K.D <= bound, with their invariants.
 
@@ -296,7 +271,8 @@ def positivity_scan(
         raise ValidationError("scan bound must be >= 1")
     ev = evaluator or Evaluator(spec)
     classes = spec.nef_big_classes(antik_bound)
-    values = _parallel_values(spec, ev, classes, threads)
+    reps = sorted({relabel_canonical(spec, d).coords for d in classes})
+    values = {c: welschinger(spec, DivisorClass(c), ev) for c in reps}
     rows = []
     for d in classes:
         v = values[relabel_canonical(spec, d).coords]

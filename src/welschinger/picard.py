@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 class DivisorClass:
@@ -152,18 +151,6 @@ CUBIC_LATTICE = Lattice(
 )
 
 
-def intersect(lat: Lattice, a: DivisorClass, b: DivisorClass) -> int:
-    return lat.intersect(a, b)
-
-
-def canonical_class(lat: Lattice) -> DivisorClass:
-    return lat.canonical
-
-
-def line_classes(lat: Lattice) -> Tuple[DivisorClass, ...]:
-    return lat.lines
-
-
 def conj_class(conj_perm: Tuple[int, ...], d: DivisorClass) -> DivisorClass:
     """Apply the conjugation involution, given as a basis permutation."""
     return DivisorClass(d.coords[conj_perm[i]] for i in range(len(conj_perm)))
@@ -257,7 +244,10 @@ def _parse_antik(text: str) -> int | None:
     if body == "":
         return 1
     if body.isdigit():
-        return int(body)
+        mult = int(body)
+        if mult == 0:
+            raise ValidationError(f"{text!r} is the zero class")
+        return mult
     return None
 
 
@@ -360,34 +350,3 @@ def candidate_factors(
             continue
         out.append(d)
     return tuple(sorted(set(out)))
-
-
-def sum_classes(lat: Lattice, classes: Sequence[DivisorClass]) -> DivisorClass:
-    zero = DivisorClass((0,) * lat.rank)
-    return reduce(lambda a, b: a + b, classes, zero)
-
-
-def effective_line_sums(
-    lat: Lattice,
-    target: DivisorClass,
-    limit: int,
-) -> Iterator[Tuple[DivisorClass, ...]]:
-    """Decompositions of `target` into at most `limit` line classes.
-
-    Used by the chain search; yields tuples in non-decreasing canonical
-    order, each unordered decomposition once.
-    """
-    lines = sorted(lat.lines)
-
-    def rec(remaining: DivisorClass, start: int, depth: int, acc: list):
-        if remaining.is_zero():
-            yield tuple(acc)
-            return
-        if depth == limit:
-            return
-        for idx in range(start, len(lines)):
-            acc.append(lines[idx])
-            yield from rec(remaining - lines[idx], idx, depth + 1, acc)
-            acc.pop()
-
-    yield from rec(target, 0, 0, [])

@@ -40,7 +40,6 @@ from .picard import (
     class_to_str,
     conj_class,
     conj_perm_p2,
-    is_nef,
     is_nef_big,
     nef_classes_up_to,
     parse_class,
@@ -150,9 +149,6 @@ class SurfaceSpec:
             kept = [c for i, c in enumerate(d.coords) if (i + 1) not in self.blown_down]
             return all(c > 0 for c in kept)
         return is_nef_big(self.lattice, d) and self.class_allowed(d)
-
-    def is_nef(self, d: DivisorClass) -> bool:
-        return is_nef(self.lattice, d)
 
     def nef_big_classes(self, max_antik: int) -> Tuple[DivisorClass, ...]:
         """Conjugation-invariant nef-and-big classes with -K.D <= max_antik."""

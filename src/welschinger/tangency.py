@@ -167,20 +167,6 @@ def iweight(v: TangencyVector) -> int:
     return sum(k * c for k, c in v)
 
 
-def coeff_helpers(v: TangencyVector) -> Tuple[int, int]:
-    """Return (prod k^(v_k), prod v_k!), both as exact integers."""
-    ipow = 1
-    fact = 1
-    for k, c in v:
-        ipow *= k**c
-        fact *= math.factorial(c)
-    return ipow, fact
-
-
-def factorial(v: TangencyVector) -> int:
-    return coeff_helpers(v)[1]
-
-
 def multinomial(v: TangencyVector, parts: Iterable[TangencyVector]) -> int:
     """Vector multinomial v! / (prod parts_i! * (v - sum parts)!).
 
@@ -201,16 +187,6 @@ def multinomial(v: TangencyVector, parts: Iterable[TangencyVector]) -> int:
     return result
 
 
-def binom(v: TangencyVector, w: TangencyVector) -> int:
-    """Componentwise product of binomials C(v_k, w_k); 0 unless w <= v."""
-    if not w <= v:
-        return 0
-    result = 1
-    for k, c in w:
-        result *= math.comb(v[k], c)
-    return result
-
-
 def is_odd_support(v: TangencyVector) -> bool:
     """True when every stored order is odd (vacuously true for 0)."""
     return all(k % 2 == 1 for k, _ in v)
@@ -222,38 +198,6 @@ def enumerate_le(v: TangencyVector) -> Iterator[TangencyVector]:
     ranges = [range(v[k] + 1) for k in keys]
     for counts in itertools.product(*ranges):
         yield TangencyVector(zip(keys, counts))
-
-
-def distribute(target: TangencyVector, m: int) -> Iterator[Tuple[TangencyVector, ...]]:
-    """All ordered m-tuples of vectors summing componentwise to target.
-
-    The per-order counts are split independently (stars and bars), iterated
-    in a fixed lexicographic order for reproducibility.
-    """
-    if m < 0:
-        raise ValueError("tuple length must be >= 0")
-    if m == 0:
-        if target:
-            return
-        yield ()
-        return
-
-    keys = target.support()
-
-    def splits(total: int, slots: int) -> Iterator[Tuple[int, ...]]:
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in splits(total - first, slots - 1):
-                yield (first,) + rest
-
-    per_key = [list(splits(target[k], m)) for k in keys]
-    for combo in itertools.product(*per_key):
-        yield tuple(
-            TangencyVector({k: combo[i][j] for i, k in enumerate(keys)})
-            for j in range(m)
-        )
 
 
 def odd_partitions(total: int) -> Tuple[TangencyVector, ...]:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from welschinger import cli
 from welschinger.engine import cache_load
@@ -152,17 +155,6 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert cache_load(path)
 
 
-def test_threads_do_not_change_output(capsys):
-    outputs = []
-    for threads in ("1", "2"):
-        code, out, _ = run(capsys, "scan", "--surface", "P2[2,2]", "--bound", "4",
-                           "--mode", "positivity", "--threads", threads,
-                           "--no-cache")
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_byte_identical_reruns(capsys):
     runs = []
     for _ in range(2):
@@ -181,3 +173,73 @@ def test_corrupt_cache_is_validation_error(capsys, tmp_path):
                        "--class", "-K", "--cache", str(path))
     assert code == 3
     assert "header" in err
+
+
+@pytest.mark.parametrize("text", ["-0K", "-00K"])
+def test_compute_zero_multiple_is_validation_error(capsys, text):
+    code, out, err = run(capsys, "compute", "--surface", "P2[6,0]",
+                         "--class", text, "--no-cache")
+    assert code == 3
+    assert out == ""
+    assert "zero class" in err
+
+
+def test_scan_blowdown_rows_in_scanned_lattice_syntax(capsys):
+    # the blow-down scan runs on P2[6,0] whatever --surface says
+    code, out, _ = run(capsys, "scan", "--surface", "B1", "--mode", "blowdown",
+                       "--bound", "3", "--no-cache")
+    assert code == 0
+    rows = [line.split()[0] for line in out.strip().splitlines()]
+    assert rows[:2] == ["1;0,0,0,0,0,0", "2;1,1,1,0,0,0"]
+    assert all(";" in r for r in rows)
+
+
+def test_scan_epath_rows_in_scanned_lattice_syntax(capsys):
+    # the route comparison runs on B1 with twist F whatever --surface says
+    code, out, _ = run(capsys, "scan", "--surface", "P2[6,0]", "--mode", "epath",
+                       "--bound", "3", "--no-cache")
+    assert code == 0
+    assert out.split() == ["1,1,1", "4", "4", "ok"]
+
+
+def test_warm_compute_does_not_rewrite_store(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "store.txt"
+    argv = ["compute", "--surface", "B1", "--twist", "F", "--cache", str(path)]
+    code, cold, _ = run(capsys, *argv, "--class", "-2K")
+    assert code == 0
+    written = path.read_bytes()
+    saves = []
+    monkeypatch.setattr(cli, "cache_save", lambda store, p: saves.append(len(store)))
+    code, warm, _ = run(capsys, *argv, "--class", "-2K")
+    assert code == 0 and warm == cold
+    assert saves == []
+    assert path.read_bytes() == written
+    # a class with keys the store lacks is still saved
+    code, _, _ = run(capsys, *argv, "--class", "3,2,2")
+    assert code == 0
+    assert len(saves) == 1 and saves[0] > len(cache_load(str(path)))
+
+
+# sha256 of `trace --no-cache` stdout for four fixed keys.  The trace bytes
+# are part of the output contract: refactoring the recursion must keep them.
+PINNED_TRACES = [
+    (("--surface", "P2[6,0]", "--class", "-2K", "--alpha", "1:1", "--beta", "1:1"),
+     30, "856", "59e56cd38b5d436d81c4ef2e446d2cfbcdc2b4122b2d856f28822fa34280adcc"),
+    (("--surface", "P2[4,1]", "--class", "-2K", "--alpha", "0", "--beta", "1:2"),
+     3, "522", "90a05d049dc3d2b10194b912aedc7a9e4d2cb11e0aad3f17eef48561d09305e2"),
+    (("--surface", "P2[2,2]", "--class", "-2K", "--alpha", "1:2", "--beta", "0"),
+     26, "84", "e2a3a130c156828e64fb4b93e4e4e7b9e1cc9bf9338d39be3e68c08be81aa755"),
+    (("--surface", "B1", "--twist", "F", "--class", "-K", "--alpha", "1:1",
+      "--beta", "0"),
+     7, "2", "7d6f4b4fa1f08798e3fb818ba55d032d70628cc751dd26c7fce7f8ce88d30994"),
+]
+
+
+@pytest.mark.parametrize("argv,n_lines,total,digest", PINNED_TRACES)
+def test_trace_bytes_pinned(capsys, argv, n_lines, total, digest):
+    code, out, _ = run(capsys, "trace", *argv, "--no-cache")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == n_lines
+    assert json.loads(lines[-1]) == {"total": total}
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

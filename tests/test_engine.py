@@ -10,7 +10,7 @@ from welschinger.engine import (
 )
 from welschinger.errors import CacheError, ValidationError
 from welschinger.surfaces import make_surface
-from welschinger.tangency import TangencyVector, theta
+from welschinger.tangency import TangencyVector, odd_partitions, theta
 
 ZERO = TangencyVector.zero()
 
@@ -149,7 +149,11 @@ def test_debug_rational_mode_agrees():
 
 
 class _ShuffledEvaluator(Evaluator):
-    """Evaluator walking the factor search in a scrambled class order."""
+    """Evaluator walking the factor search in a scrambled class order.
+
+    The search stops at the first block over the anticanonical budget, so
+    it relies on ascending degree; the order among equal degrees is free.
+    """
 
     def __init__(self, spec, seed):
         super().__init__(spec)
@@ -158,6 +162,7 @@ class _ShuffledEvaluator(Evaluator):
     def _blocks(self, budget, rigid_lines_only):
         blocks = list(super()._blocks(budget, rigid_lines_only))
         random.Random(self._seed).shuffle(blocks)
+        blocks.sort(key=lambda b: b.antik)  # stable: shuffled within a degree
         return tuple(blocks)
 
 
@@ -167,13 +172,11 @@ def test_eval_independent_of_enumeration_order():
     want = {t: reference.eval(key_of(spec, t)) for t in ("-K", "-2K")}
     for seed in (1, 2, 3):
         shuffled = _ShuffledEvaluator(spec, seed)
-        shuffled._assume_sorted_blocks = False
         for text, value in want.items():
             assert shuffled.eval(key_of(spec, text)) == value
     spec_f = make_surface("B1", twist="F")
     want_f = Evaluator(spec_f).eval(key_of(spec_f, "-2K"))
     shuffled = _ShuffledEvaluator(spec_f, 7)
-    shuffled._assume_sorted_blocks = False
     assert shuffled.eval(key_of(spec_f, "-2K")) == want_f
 
 
@@ -252,6 +255,29 @@ def test_fast_route_values(shared):
     assert ev.eval_cubic_fast(key_of(spec, "-2K")) == 160
     d = key_of(spec, "2,1,1")
     assert ev.eval_cubic_fast(d) == ev.eval(d)
+
+
+def test_routes_agree_on_every_internal_key():
+    # Every state of every nef-big class up to -K.D 8, not only the top key.
+    spec = make_surface("B1", twist="F")
+    ev = Evaluator(spec)
+    keys = []
+    for d in spec.nef_big_classes(8):
+        de = spec.e_degree(d)
+        for ia in range(de + 1):
+            for alpha in odd_partitions(ia):
+                for beta in odd_partitions(de - ia):
+                    keys.append(make_key(spec, d, alpha, beta))
+    assert len(keys) == 166
+    assert [k for k in keys if ev.eval(k) != ev.eval_cubic_fast(k)] == []
+    # The routes keep separate memos and reach the same states.
+    for d in spec.nef_big_classes(10):
+        key = make_key(spec, d, ZERO, theta(1, spec.e_degree(d)))
+        ev.eval(key)
+        ev.eval_cubic_fast(key)
+    assert ev._full.memo is not ev._reduced.memo
+    assert len(ev._full.memo) == 397
+    assert ev._full.memo == ev._reduced.memo
 
 
 def test_repeated_identical_factors_are_symmetrized(shared):

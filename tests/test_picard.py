@@ -14,7 +14,6 @@ from welschinger.picard import (
     conj_perm_p2,
     is_nef,
     is_nef_big,
-    line_classes,
     parse_class,
     r_dim,
 )
@@ -63,10 +62,10 @@ def test_r_dim_examples():
 
 
 def test_line_classes():
-    p2 = line_classes(P2_LATTICE)
+    p2 = P2_LATTICE.lines
     assert len(p2) == 27
     assert parse_class(P2_LATTICE, "1;1,1,0,0,0,0") in p2
-    assert line_classes(CUBIC_LATTICE) == CUBIC_LATTICE.lines
+    assert len(CUBIC_LATTICE.lines) == 3
     for lat in (P2_LATTICE, CUBIC_LATTICE):
         for line in lat.lines:
             assert lat.intersect(line, line) == -1
@@ -111,7 +110,7 @@ def test_candidates_p2_budget_one_against_brute_force():
     cands = candidate_factors(P2_LATTICE, perm, E_AUX, 1)
     # brute-force oracle: scan the full line list for E-degree exactly one
     expected = {
-        line for line in line_classes(P2_LATTICE)
+        line for line in P2_LATTICE.lines
         if P2_LATTICE.intersect(line, E_AUX) == 1
     }
     assert set(cands) == expected

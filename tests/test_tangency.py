@@ -5,9 +5,6 @@ from hypothesis import given, strategies as st
 
 from welschinger.tangency import (
     TangencyVector,
-    binom,
-    coeff_helpers,
-    distribute,
     enumerate_le,
     is_odd_support,
     iweight,
@@ -43,12 +40,6 @@ def test_iweight_examples():
     assert iweight(ZERO) == 0
 
 
-def test_coeff_helpers_examples():
-    assert coeff_helpers(theta(3, 2))[0] == 9
-    assert coeff_helpers(theta(1, 3) + theta(2))[1] == 6
-    assert coeff_helpers(ZERO) == (1, 1)
-
-
 def test_multinomial_examples():
     assert multinomial(theta(1, 2), [theta(1), theta(1)]) == 2
     assert multinomial(vec(k1=1, k3=2), []) == 1
@@ -67,13 +58,6 @@ def test_enumerate_le_examples():
     assert set(enumerate_le(theta(1))) == {ZERO, theta(1)}
     assert len(list(enumerate_le(theta(1, 2)))) == 3
     assert len(list(enumerate_le(theta(1) + theta(3)))) == 4
-
-
-def test_distribute_examples():
-    assert len(list(distribute(theta(1), 2))) == 2
-    assert len(list(distribute(theta(1, 2), 2))) == 3
-    assert list(distribute(ZERO, 3)) == [((ZERO,) * 3)]
-    assert list(distribute(theta(1), 0)) == []
 
 
 def test_canonical_form_and_text():
@@ -113,39 +97,24 @@ def test_enumerate_le_cardinality_and_oddness(v):
         assert all(is_odd_support(w) for w in items)
 
 
-@given(small_vectors, st.integers(min_value=0, max_value=20))
-def test_multinomial_permutation_invariant(v, pick):
-    splits = list(distribute(v, 3))
-    parts = list(splits[pick % len(splits)])
+@given(small_vectors, st.data())
+def test_multinomial_permutation_invariant(v, data):
+    # three parts exhausting v: each count c splits as a + b + (c - a - b)
+    counts = []
+    for k, c in v:
+        a = data.draw(st.integers(min_value=0, max_value=c))
+        b = data.draw(st.integers(min_value=0, max_value=c - a))
+        counts.append((k, (a, b, c - a - b)))
+    parts = [TangencyVector({k: split[i] for k, split in counts}) for i in range(3)]
     base = multinomial(v, parts)
     assert multinomial(v, list(reversed(parts))) == base
     assert multinomial(v, [parts[1], parts[2], parts[0]]) == base
+
+    def vfact(w):
+        return math.prod(math.factorial(c) for _, c in w)
+
     # the three parts exhaust v, so the leftover factorial is 0! = 1
-    fact = math.prod(coeff_helpers(p)[1] for p in parts)
-    assert base * fact == coeff_helpers(v)[1]
-
-
-@given(
-    st.dictionaries(
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=2),
-        max_size=2,
-    ).map(TangencyVector),
-    st.integers(min_value=1, max_value=3),
-)
-def test_distribute_counts_stars_and_bars(t, m):
-    tuples = list(distribute(t, m))
-    expected = math.prod(math.comb(c + m - 1, m - 1) for _, c in t)
-    assert len(tuples) == expected
-    assert len(set(tuples)) == expected
-    for parts in tuples:
-        assert sum(parts, ZERO) == t
-
-
-def test_binom_vector():
-    assert binom(theta(1, 3), theta(1)) == 3
-    assert binom(theta(1), theta(3)) == 0
-    assert binom(vec(k1=2, k3=1), vec(k1=1, k3=1)) == 2
+    assert base * math.prod(vfact(p) for p in parts) == vfact(v)
 
 
 def test_odd_partitions():
