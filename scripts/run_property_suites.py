@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from welschinger import Evaluator, make_surface  # noqa: E402
+from welschinger import Evaluator, ValidationError, make_surface  # noqa: E402
 from welschinger.invariants import (  # noqa: E402
     blowdown_scan,
     e_independence_scan,
@@ -84,4 +84,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        sys.exit(3)

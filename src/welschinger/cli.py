@@ -14,9 +14,9 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .engine import Evaluator, Store, cache_load, cache_save, make_key
+from .engine import Evaluator, cache_load, cache_save, make_key
 from .errors import (
     CacheError,
     InternalCheckError,
@@ -134,41 +134,35 @@ def _spec(args) -> SurfaceSpec:
     )
 
 
-def _cache_path(args) -> Optional[str]:
-    if args.no_cache:
-        return None
-    return args.cache or os.environ.get("WELSCHINGER_CACHE")
+def _evaluators(
+    args, specs: List[SurfaceSpec]
+) -> Tuple[List[Evaluator], Callable[[], None]]:
+    """Evaluators of the specs, preloaded from the store, and the function
+    that writes their records back."""
+    path = None if args.no_cache else args.cache or os.environ.get("WELSCHINGER_CACHE")
+    store = cache_load(path) if path and os.path.exists(path) else {}
+    evs = [Evaluator(spec) for spec in specs]
+    loaded = [ev.preload(store) for ev in evs]
 
+    def save() -> None:
+        # A memo starts as the adopted records, so it holds a record the
+        # store lacks exactly when it has grown.
+        if path and any(
+            ev.cache_stats()["entries"] > n for ev, n in zip(evs, loaded)
+        ):
+            for ev in evs:
+                ev.dump(store)
+            cache_save(store, path)
 
-def _load_store(path: Optional[str]) -> Store:
-    if path and os.path.exists(path):
-        return cache_load(path)
-    return {}
-
-
-def _evaluator(spec: SurfaceSpec, args) -> Tuple[Evaluator, Optional[str], Store, int]:
-    """The evaluator, the store path, the loaded store and the number of
-    records the evaluator adopted from it."""
-    path = _cache_path(args)
-    store = _load_store(path)
-    ev = Evaluator(spec)
-    return ev, path, store, ev.preload(store)
-
-
-def _save(ev: Evaluator, path: Optional[str], store: Store, loaded: int) -> None:
-    # The memo starts as the adopted records, so it holds a record the
-    # store lacks exactly when it has grown.
-    if path and ev.cache_stats()["entries"] > loaded:
-        ev.dump(store)
-        cache_save(store, path)
+    return evs, save
 
 
 def cmd_compute(args) -> int:
     spec = _spec(args)
     d = spec.parse_class(args.class_text)
-    ev, path, store, loaded = _evaluator(spec, args)
+    (ev,), save = _evaluators(args, [spec])
     report = invariant_report(spec, d, ev)
-    _save(ev, path, store, loaded)
+    save()
     if args.json:
         payload = {
             "surface": report.surface_id,
@@ -186,26 +180,18 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    path = _cache_path(args)
-    store = _load_store(path)
+    specs = [parse_surface(surface, twist=twist) for surface, twist, _ in TABLE_COLUMNS]
+    evs, save = _evaluators(args, specs)
     rows = {}
     started = time.perf_counter()
-    evaluators = []
-    for surface, twist, kind in TABLE_COLUMNS:
-        spec = parse_surface(surface, twist=twist)
-        ev = Evaluator(spec, store=store)
-        evaluators.append((spec, ev, kind))
     for row_name in ("-K", "-2K"):
         values = []
-        for spec, ev, kind in evaluators:
+        for spec, ev, (_, _, kind) in zip(specs, evs, TABLE_COLUMNS):
             text = CONIC_ROWS[row_name] if kind == "conic" else row_name
             values.append(welschinger(spec, spec.parse_class(text), ev))
         rows[row_name] = tuple(values)
     elapsed = time.perf_counter() - started
-    for _, ev, _ in evaluators:
-        ev.dump(store)
-    if path:
-        cache_save(store, path)
+    save()
 
     mismatches = []
     for row_name, values in rows.items():
@@ -245,7 +231,7 @@ def cmd_table(args) -> int:
 def cmd_trace(args) -> int:
     spec = _spec(args)
     d = spec.parse_class(args.class_text)
-    ev, path, store, loaded = _evaluator(spec, args)
+    (ev,), save = _evaluators(args, [spec])
     if args.alpha is None and args.beta is None:
         key = top_key(spec, d)
     else:
@@ -257,7 +243,7 @@ def cmd_trace(args) -> int:
         key = make_key(spec, d, alpha, beta)
     records = ev.expand(key)
     total = ev.eval(key)
-    _save(ev, path, store, loaded)
+    save()
     for record in records:
         print(json.dumps(record.to_dict(spec), sort_keys=True))
     print(json.dumps({"total": str(total)}))
@@ -286,7 +272,19 @@ def cmd_scan(args) -> int:
         raise ValidationError("scan bound must be >= 1")
     mode = args.mode
     spec = _spec(args)
-    ev, path, store, loaded = _evaluator(spec, args)
+    if mode in ("blowdown", "epath"):
+        # Verification runs comparing two fresh evaluators of a fixed model,
+        # whatever --surface says; the store is neither read nor written.
+        if mode == "blowdown":
+            lat, second, rows = P2_LATTICE, "filtered", blowdown_scan(args.bound)
+        else:
+            rows = path_equivalence_scan(args.bound)
+            lat, second = CUBIC_LATTICE, "reduced"
+        out = [(class_to_str(lat, d), v1, v2, "ok" if same else "VIOLATION")
+               for d, v1, v2, same in rows]
+        _emit_rows(args, ["class", "full", second, "status"], out)
+        return 0 if all(r[3] for r in rows) else 1
+    (ev,), save = _evaluators(args, [spec])
     violations = 0
     if mode == "positivity":
         rows = positivity_scan(spec, args.bound, ev)
@@ -310,25 +308,13 @@ def cmd_scan(args) -> int:
         _emit_rows(
             args, ["from", "to", "product", "W(D)", "bound", "status"], out
         )
-    elif mode == "symmetry":
+    else:  # symmetry
         rows = symmetry_scan(spec, args.bound, evaluator=ev)
         out = [(spec.class_str(a), spec.class_str(b), v1, v2,
                 "ok" if same else "VIOLATION") for a, b, v1, v2, same in rows]
         violations = sum(1 for r in rows if not r[4])
         _emit_rows(args, ["class", "relabeled", "value", "value2", "status"], out)
-    elif mode == "blowdown":
-        rows = blowdown_scan(args.bound)  # classes of the rank-7 model
-        out = [(class_to_str(P2_LATTICE, d), v1, v2, "ok" if same else "VIOLATION")
-               for d, v1, v2, same in rows]
-        violations = sum(1 for r in rows if not r[3])
-        _emit_rows(args, ["class", "full", "filtered", "status"], out)
-    else:  # epath
-        rows = path_equivalence_scan(args.bound)  # classes of the cubic
-        out = [(class_to_str(CUBIC_LATTICE, d), v1, v2, "ok" if same else "VIOLATION")
-               for d, v1, v2, same in rows]
-        violations = sum(1 for r in rows if not r[3])
-        _emit_rows(args, ["class", "full", "reduced", "status"], out)
-    _save(ev, path, store, loaded)
+    save()
     return 1 if violations else 0
 
 
@@ -350,9 +336,9 @@ def cmd_chain(args) -> int:
 def cmd_growth(args) -> int:
     spec = _spec(args)
     d = spec.parse_class(args.class_text)
-    ev, path, store, loaded = _evaluator(spec, args)
+    (ev,), save = _evaluators(args, [spec])
     rows = growth_report(spec, d, args.n_max, ev)
-    _save(ev, path, store, loaded)
+    save()
     out = [
         (r.n, str(r.value), "" if r.ratio is None else f"{r.ratio:.6f}")
         for r in rows

@@ -33,6 +33,13 @@ On the two-component cubic with the component twist a second route runs
 through the same recursion with restricted summands: l = 0 only, no pair
 items, and rigid factors restricted to real lines.  It keeps its own memo,
 so cross-route equality is a genuine check rather than a cache read-back.
+
+Each route also keeps one factor table: a block of decorated options for
+every candidate class, sorted by (-K degree, coords).  Candidacy depends
+only on the class and its degree, so the candidates under a smaller
+anticanonical budget are the table's prefix of degree <= budget.  The
+table is enumerated once, at the first budget asked for (the top key's),
+and a larger budget later appends only the blocks of the new degrees.
 """
 
 from __future__ import annotations
@@ -76,7 +83,6 @@ def make_key(
     d: DivisorClass,
     alpha: TangencyVector,
     beta: TangencyVector,
-    enforce_filter: bool = True,
 ) -> EvalKey:
     if not spec.is_real_class(d):
         raise ValidationError(f"class {spec.class_str(d)} is not conjugation-invariant")
@@ -87,7 +93,7 @@ def make_key(
             f"I(alpha)+I(beta) = {iweight(alpha) + iweight(beta)} "
             f"!= D.E = {spec.e_degree(d)}"
         )
-    if enforce_filter and not spec.class_allowed(d):
+    if not spec.class_allowed(d):
         raise ValidationError(f"class {spec.class_str(d)} crosses a blown-down curve")
     return EvalKey(spec.surface_id, d, alpha, beta)
 
@@ -145,9 +151,6 @@ class _Option:
     """One decorated way a candidate class can appear as a factor."""
 
     cls: DivisorClass
-    coords: Tuple[int, ...]
-    e_deg: int
-    antik: int
     alpha: TangencyVector
     ialpha: int
     beta: TangencyVector
@@ -169,19 +172,19 @@ class _Block:
     opts: Tuple[_Option, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Route:
-    """Which summands one route through the recursion admits, and its memo."""
+    """Which summands one route through the recursion admits, its memo and
+    its factor table."""
 
     memo: Dict[tuple, int]
     l_max: float  # largest l of the split sum: math.inf or 0
     # admitted subsets of the pair menu: (item ids, class sum, weight)
     pair_subsets: Tuple[Tuple[Tuple[str, ...], DivisorClass, int], ...]
     rigid_lines_only: bool  # rigid factors must be real lines other than E
-
-
-def _tv_key(v: TangencyVector) -> Tuple:
-    return v.key()
+    # (budget, blocks of every candidate of -K degree <= budget); only ever
+    # replaced whole, see Evaluator._table
+    table: Tuple[int, Tuple[_Block, ...]] = (0, ())
 
 
 def _symmetry_factor(chosen) -> int:
@@ -223,9 +226,13 @@ def _multinomial_exact(total: int, parts: List[int], context: str) -> int:
 class Evaluator:
     """Shared-store evaluator bound to one surface specification.
 
-    Thread-safety: all mutable state is confined to idempotent dictionary
-    inserts keyed by canonical value-determining keys, so concurrent use
-    from several threads converges to identical contents.
+    Thread-safety: the memos change only by idempotent dictionary inserts
+    keyed by canonical value-determining keys, so concurrent use from
+    several threads converges to identical contents.  A route's factor
+    table is never mutated in place: growing it builds a new tuple and
+    replaces the route's (budget, blocks) pair in one assignment, so a
+    reader holds either the old table or the new one, each complete for
+    its budget.
     """
 
     def __init__(
@@ -238,9 +245,6 @@ class Evaluator:
         self.hits = 0
         self.misses = 0
         self.debug_rational = debug_rational
-        self._options_cache: Dict[Tuple[int, ...], Tuple[_Option, ...]] = {}
-        self._candidates_cache: Dict[int, Tuple[DivisorClass, ...]] = {}
-        self._flat_cache: Dict[Tuple[int, bool], Tuple[_Option, ...]] = {}
         menu = spec.pair_menu
         subsets = []
         zero = DivisorClass((0,) * spec.lattice.rank)
@@ -294,11 +298,11 @@ class Evaluator:
         split.sort(
             key=lambda t: (
                 t.l,
-                _tv_key(t.alpha0),
-                _tv_key(t.beta0),
+                t.alpha0.key(),
+                t.beta0.key(),
                 t.pair_ids,
                 tuple(
-                    (f.d.coords, _tv_key(f.alpha), _tv_key(f.beta), _tv_key(f.gamma))
+                    (f.d.coords, f.alpha.key(), f.beta.key(), f.gamma.key())
                     for f in t.factors
                 ),
             )
@@ -398,9 +402,7 @@ class Evaluator:
         de = spec.e_degree(d)
         budget = spec.antik_degree(d - spec.e_class)
         blocks = (
-            self._local_blocks(budget, route.rigid_lines_only, d - spec.e_class)
-            if budget >= 1
-            else ()
+            self._local_blocks(route, budget, d - spec.e_class) if budget >= 1 else ()
         )
         n1 = n - 1
         for alpha0 in enumerate_le(alpha):
@@ -499,28 +501,41 @@ class Evaluator:
 
     # -- factor enumeration ----------------------------------------------------------
 
-    def _candidates(self, budget: int) -> Tuple[DivisorClass, ...]:
-        if budget < 1:
-            return ()
-        cached = self._candidates_cache.get(budget)
-        if cached is None:
-            cached = candidate_factors(
-                self.spec.lattice,
-                self.spec.conj_perm,
-                self.spec.e_class,
-                budget,
-                blocked=self.spec.candidate_blocked(),
-            )
-            self._candidates_cache[budget] = cached
-        return cached
+    def _table(self, route: _Route, budget: int) -> Tuple[_Block, ...]:
+        """The route's factor table, grown to cover -K degree `budget`.
 
-    def _class_options(self, cls: DivisorClass) -> Tuple[_Option, ...]:
-        cached = self._options_cache.get(cls.coords)
-        if cached is not None:
-            return cached
+        Blocks ascend in (-K degree, coords), so the search can stop at the
+        first block over its budget.  Growing appends the blocks of the
+        degrees above the old budget and replaces the table whole.
+        """
+        built, blocks = route.table
+        if budget <= built:
+            return blocks
+        spec = self.spec
+        mke = spec.minus_k_plus_e()
+        new = []
+        for cls in candidate_factors(
+            spec.lattice, spec.conj_perm, spec.e_class, budget,
+            blocked=spec.candidate_blocked(),
+        ):
+            antik = spec.antik_degree(cls)
+            if antik <= built or cls == mke:
+                continue
+            opts = self._options(cls, route.rigid_lines_only)
+            if opts:
+                new.append(_Block(cls, cls.coords, spec.e_degree(cls), antik, opts))
+        new.sort(key=lambda b: (b.antik, b.coords))
+        blocks += tuple(new)
+        route.table = (budget, blocks)
+        return blocks
+
+    def _options(
+        self, cls: DivisorClass, rigid_lines_only: bool
+    ) -> Tuple[_Option, ...]:
+        """The decorated options of one candidate class, in canonical order."""
         spec = self.spec
         e_deg = spec.e_degree(cls)
-        antik = spec.antik_degree(cls)
+        real_line = cls in spec.lattice.lines and cls != spec.e_class
         opts: List[_Option] = []
         for ia in range(e_deg):  # beta stays nonzero: I(beta) = e_deg - ia >= 1
             for av in odd_partitions(ia):
@@ -528,80 +543,48 @@ class Evaluator:
                     n_i = spec.r_dim_class(cls, norm(bv))
                     if n_i < 0:
                         continue
+                    if rigid_lines_only and n_i == 0 and not (
+                        real_line and not av and bv == theta(1)
+                    ):
+                        continue
                     gammas = tuple(
                         (theta(j), bv - theta(j), iweight(bv) - j, bv[j])
                         for j in bv.support()
                     )
                     opts.append(
                         _Option(
-                            cls, cls.coords, e_deg, antik, av, iweight(av), bv,
-                            n_i, rigid=(n_i == 0 and not av), gammas=gammas,
+                            cls, av, iweight(av), bv, n_i,
+                            rigid=(n_i == 0 and not av), gammas=gammas,
                             memo_key=(cls.coords, av.key(), bv.key()),
                         )
                     )
-        opts.sort(key=lambda o: (_tv_key(o.alpha), _tv_key(o.beta)))
-        result = tuple(opts)
-        self._options_cache[cls.coords] = result
-        return result
-
-    def _blocks(self, budget: int, rigid_lines_only: bool) -> Tuple[_Block, ...]:
-        cache_key = (budget, rigid_lines_only)
-        cached = self._flat_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        spec = self.spec
-        mke = spec.minus_k_plus_e()
-        blocks: List[_Block] = []
-        for cls in self._candidates(budget):
-            if cls == mke:
-                continue
-            opts = []
-            for opt in self._class_options(cls):
-                if rigid_lines_only and opt.n_i == 0:
-                    simple = (
-                        cls in spec.lattice.lines
-                        and cls != spec.e_class
-                        and not opt.alpha
-                        and opt.beta == theta(1)
-                    )
-                    if not simple:
-                        continue
-                opts.append(opt)
-            if opts:
-                blocks.append(
-                    _Block(cls, cls.coords, opts[0].e_deg, opts[0].antik, tuple(opts))
-                )
-        # Ascending anticanonical degree: once a block exceeds the remaining
-        # budget the search can stop scanning altogether.
-        blocks.sort(key=lambda b: (b.antik, b.coords))
-        result = tuple(blocks)
-        self._flat_cache[cache_key] = result
-        return result
+        opts.sort(key=lambda o: (o.alpha.key(), o.beta.key()))
+        return tuple(opts)
 
     def _local_blocks(
-        self, budget: int, rigid_lines_only: bool, t_max: DivisorClass
+        self, route: _Route, budget: int, t_max: DivisorClass
     ) -> Tuple[_Block, ...]:
         """Blocks that can fit under the largest target of one evaluation.
 
+        The table's prefix of -K degree <= budget holds the candidates.
         Remainder coordinates only move toward the feasible box, so a class
         that does not fit the c = 0 target never fits any remainder: degree
         at most d(T); multiplicities at most m_i(T), with one unit of slack
         on the two slots whose exceptional curves are themselves (rigid,
         once-only) candidates.
         """
-        blocks = self._blocks(budget, rigid_lines_only)
-        if self.spec.lattice.model == "cubic":
-            tc = t_max.coords
-            return tuple(
-                b for b in blocks
-                if b.coords[0] <= tc[0] and b.coords[1] <= tc[1]
-                and b.coords[2] <= tc[2]
-            )
+        cubic = self.spec.lattice.model == "cubic"
         tc = t_max.coords
         kept = []
-        for b in blocks:
+        for b in self._table(route, budget):
+            if b.antik > budget:
+                break
             bc = b.coords
             if bc[0] > tc[0]:
+                continue
+            if cubic:
+                if bc[1] <= tc[1] and bc[2] <= tc[2]:
+                    kept.append(b)
                 continue
             if bc[1] < tc[1] - 1 or bc[2] < tc[2] - 1:
                 continue

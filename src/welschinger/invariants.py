@@ -285,7 +285,6 @@ def symmetry_scan(
     antik_bound: int,
     n_classes: int = 5,
     n_perms: int = 10,
-    seed: int = DEFAULT_SEED,
     evaluator: Optional[Evaluator] = None,
 ) -> List[Tuple[DivisorClass, DivisorClass, int, int, bool]]:
     """Invariance under random relabelings of the six real points.
@@ -297,7 +296,7 @@ def symmetry_scan(
     if spec.model != "P2" or spec.n_real != 6 or spec.blown_down:
         raise ValidationError("the symmetry scan runs on the all-real model")
     ev = evaluator or Evaluator(spec)
-    rng = Random(seed)
+    rng = Random(DEFAULT_SEED)
     classes = [d for d in spec.nef_big_classes(antik_bound)]
     rng.shuffle(classes)
     rows = []
@@ -314,17 +313,13 @@ def symmetry_scan(
     return rows
 
 
-def blowdown_scan(
-    antik_bound: int,
-    evaluator_full: Optional[Evaluator] = None,
-    evaluator_filtered: Optional[Evaluator] = None,
-) -> List[Tuple[DivisorClass, int, int, bool]]:
+def blowdown_scan(antik_bound: int) -> List[Tuple[DivisorClass, int, int, bool]]:
     """Exact agreement of the full model and the filtered blow-down model
     on classes not crossing the two contracted curves."""
     full = make_surface("P2", 6, 0)
     filtered = make_surface("P2", 4, 0)
-    ev_full = evaluator_full or Evaluator(full)
-    ev_filt = evaluator_filtered or Evaluator(filtered)
+    ev_full = Evaluator(full)
+    ev_filt = Evaluator(filtered)
     rows = []
     for d in full.nef_big_classes(antik_bound):
         if not filtered.class_allowed(d):
@@ -351,11 +346,11 @@ def e_independence_scan(
 
 
 def path_equivalence_scan(
-    antik_bound: int, evaluator: Optional[Evaluator] = None
+    antik_bound: int,
 ) -> List[Tuple[DivisorClass, int, int, bool]]:
     """Full recursion against the reduced cubic route on all nef-big keys."""
     spec = make_surface("B1", twist="F")
-    ev = evaluator or Evaluator(spec)
+    ev = Evaluator(spec)
     rows = []
     for d in spec.nef_big_classes(antik_bound):
         key = top_key(spec, d)
@@ -366,14 +361,23 @@ def path_equivalence_scan(
 
 
 def sample_monotone_pairs(
-    spec: SurfaceSpec,
-    count: int,
-    seed: int = DEFAULT_SEED,
-    antik_cap: int = 8,
+    spec: SurfaceSpec, count: int, antik_cap: int = 8
 ) -> List[Tuple[DivisorClass, DivisorClass]]:
-    """Deterministic sample of nef-big pairs (D', D) with effective difference."""
-    rng = Random(seed)
-    base = [d for d in spec.nef_big_classes(max(antik_cap - 2, 1))]
+    """Deterministic sample of nef-big pairs (D', D) with effective difference.
+
+    D' has -K.D' <= antik_cap - 2, so that one or two lines fit on top.
+    """
+    base_cap = max(antik_cap - 2, 1)
+    base = spec.nef_big_classes(base_cap)
+    if not base:
+        smallest = base_cap + 1
+        while not spec.nef_big_classes(smallest):
+            smallest += 1
+        raise ValidationError(
+            f"monotone pairs need a bound of at least {smallest + 2}: "
+            f"no nef-big class has -K.D <= {base_cap}"
+        )
+    rng = Random(DEFAULT_SEED)
     lines = sorted(spec.lattice.lines)
     pairs = []
     guard = 0

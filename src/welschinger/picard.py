@@ -321,15 +321,15 @@ def candidate_factors(
     e_class: DivisorClass,
     antik_budget: int,
     blocked: Tuple[DivisorClass, ...] = (),
-    min_e_degree: int = 1,
 ) -> Tuple[DivisorClass, ...]:
     """Conjugation-invariant classes able to carry a nonzero count as factor.
 
     The union of (-1)-classes and nef classes of anticanonical degree at
     most `antik_budget` dominates every divisor class with irreducible
     representatives; spurious members are harmless because they evaluate
-    to zero.  `blocked` lists exceptional classes of blown-down curves:
-    anything crossing them is dropped.  The class -(K+E) is kept here, its
+    to zero.  Classes not meeting E positively are dropped, and so is
+    anything crossing a class of `blocked`, the exceptional classes of
+    blown-down curves.  The class -(K+E) is kept here, its
     exclusion as a factor is enforced at the use site.
     """
     if antik_budget < 1:
@@ -338,13 +338,13 @@ def candidate_factors(
     for line in lat.lines:
         if conj_class(conj_perm, line) != line:
             continue
-        if lat.intersect(line, e_class) < min_e_degree:
+        if lat.intersect(line, e_class) < 1:
             continue
         if any(lat.intersect(line, b) != 0 for b in blocked):
             continue
         out.append(line)
     for d in nef_classes_up_to(lat, conj_perm, antik_budget):
-        if lat.intersect(d, e_class) < min_e_degree:
+        if lat.intersect(d, e_class) < 1:
             continue
         if any(lat.intersect(d, b) != 0 for b in blocked):
             continue

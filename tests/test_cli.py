@@ -243,3 +243,38 @@ def test_trace_bytes_pinned(capsys, argv, n_lines, total, digest):
     assert len(lines) == n_lines
     assert json.loads(lines[-1]) == {"total": total}
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_warm_table_does_not_rewrite_store(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "store.txt"
+    argv = ["table", "--json", "--no-timing", "--cache", str(path)]
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    written = path.read_bytes()
+    saves = []
+    monkeypatch.setattr(cli, "cache_save", lambda store, p: saves.append(len(store)))
+    code, warm, _ = run(capsys, *argv)
+    assert code == 0 and warm == cold
+    assert saves == []
+    assert path.read_bytes() == written
+
+
+def test_epath_scan_neither_reads_nor_writes_store(capsys, tmp_path):
+    path = tmp_path / "garbage.txt"
+    path.write_bytes(b"not a store\n")
+    code, out, _ = run(capsys, "scan", "--surface", "B1", "--twist", "F",
+                       "--mode", "epath", "--bound", "3", "--cache", str(path))
+    assert code == 0
+    assert out.split() == ["1,1,1", "4", "4", "ok"]
+    assert path.read_bytes() == b"not a store\n"
+
+
+def test_monotonicity_scan_below_smallest_bound(capsys):
+    code, out, err = run(capsys, "scan", "--surface", "P2[6,0]", "--mode",
+                         "monotonicity", "--bound", "4", "--no-cache")
+    assert code == 3
+    assert out == ""
+    assert "at least 5" in err
+    code, out, _ = run(capsys, "scan", "--surface", "P2[6,0]", "--mode",
+                       "monotonicity", "--bound", "5", "--no-cache")
+    assert code == 0 and out.count("ok") == 10

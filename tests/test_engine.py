@@ -1,7 +1,10 @@
 import random
+import sys
+import threading
 
 import pytest
 
+from welschinger import engine
 from welschinger.engine import (
     Evaluator,
     cache_load,
@@ -9,6 +12,7 @@ from welschinger.engine import (
     make_key,
 )
 from welschinger.errors import CacheError, ValidationError
+from welschinger.invariants import welschinger
 from welschinger.surfaces import make_surface
 from welschinger.tangency import TangencyVector, odd_partitions, theta
 
@@ -131,8 +135,6 @@ def test_key_validation():
     l1 = conic.parse_class("1,0,0")
     with pytest.raises(ValidationError):
         make_key(conic, l1, ZERO, theta(1))  # crosses the contracted line
-    # internal states may cross it: this is how the exceptional line enters
-    assert make_key(conic, l1, ZERO, theta(1), enforce_filter=False)
 
 
 def test_debug_rational_mode_agrees():
@@ -159,11 +161,25 @@ class _ShuffledEvaluator(Evaluator):
         super().__init__(spec)
         self._seed = seed
 
-    def _blocks(self, budget, rigid_lines_only):
-        blocks = list(super()._blocks(budget, rigid_lines_only))
+    def _table(self, route, budget):
+        blocks = list(super()._table(route, budget))
         random.Random(self._seed).shuffle(blocks)
         blocks.sort(key=lambda b: b.antik)  # stable: shuffled within a degree
         return tuple(blocks)
+
+
+def test_shuffled_table_moves_blocks_only_within_a_degree():
+    spec = make_surface("P2", 2, 2)
+    plain = Evaluator(spec)._table(Evaluator(spec)._full, 6)
+    shuffled = _ShuffledEvaluator(spec, 1)
+    scrambled = shuffled._table(shuffled._full, 6)
+    assert scrambled != plain
+    assert [b.antik for b in scrambled] == [b.antik for b in plain]
+    for deg in {b.antik for b in plain}:
+        assert (
+            sorted(b.coords for b in scrambled if b.antik == deg)
+            == [b.coords for b in plain if b.antik == deg]
+        )
 
 
 def test_eval_independent_of_enumeration_order():
@@ -178,6 +194,84 @@ def test_eval_independent_of_enumeration_order():
     want_f = Evaluator(spec_f).eval(key_of(spec_f, "-2K"))
     shuffled = _ShuffledEvaluator(spec_f, 7)
     assert shuffled.eval(key_of(spec_f, "-2K")) == want_f
+
+
+def test_cold_eval_enumerates_candidates_once(monkeypatch):
+    budgets = []
+    real = engine.candidate_factors
+
+    def counted(lat, conj_perm, e_class, budget, **kwargs):
+        budgets.append(budget)
+        return real(lat, conj_perm, e_class, budget, **kwargs)
+
+    monkeypatch.setattr(engine, "candidate_factors", counted)
+    spec = make_surface("P2", 6, 0)
+    assert welschinger(spec, spec.parse_class("-2K"), Evaluator(spec)) == 1000
+    assert budgets == [5]  # the top key's -K.(D - E); smaller budgets are prefixes
+
+
+def _table_rows(blocks):
+    return [(b.cls, b.antik, [(o.alpha, o.beta) for o in b.opts]) for b in blocks]
+
+
+def test_grown_table_equals_direct_table():
+    for spec in (make_surface("P2", 4, 1), make_surface("B1", twist="F")):
+        grown = Evaluator(spec)
+        direct = Evaluator(spec)
+        for route in ("_full", "_reduced"):
+            small = grown._table(getattr(grown, route), 3)
+            assert small and max(b.antik for b in small) <= 3
+            big = grown._table(getattr(grown, route), 6)
+            assert big[: len(small)] == small  # growing only appends
+            assert getattr(grown, route).table == (6, big)
+            want = direct._table(getattr(direct, route), 6)
+            assert _table_rows(big) == _table_rows(want)
+            # a smaller budget reads the prefix, without shrinking the table
+            assert grown._table(getattr(grown, route), 2) is big
+
+
+def test_values_independent_of_table_growth_order():
+    spec = make_surface("P2", 4, 1)
+    classes = sorted(spec.nef_big_classes(5), key=spec.antik_degree)
+    ascending = Evaluator(spec)
+    up = {d: welschinger(spec, d, ascending) for d in classes}
+    descending = Evaluator(spec)
+    down = {d: welschinger(spec, d, descending) for d in reversed(classes)}
+    fresh = {d: welschinger(spec, d, Evaluator(spec)) for d in classes}
+    assert up == down == fresh
+    assert ascending._full.table[0] == descending._full.table[0]
+
+
+def test_concurrent_table_growth():
+    # Four threads grow one evaluator's tables from different first budgets;
+    # a torn or lost table would show as a wrong value.
+    spec = make_surface("P2", 2, 2)
+    classes = sorted(spec.nef_big_classes(5), key=spec.antik_degree)
+    want = {d: welschinger(spec, d, Evaluator(spec)) for d in classes}
+    shared = Evaluator(spec)
+    orders = [classes, classes[::-1], classes[1::2] + classes[::2], classes[::-2]]
+    results = [{} for _ in orders]
+
+    def work(order, out):
+        for d in order:
+            out[d] = welschinger(spec, d, shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(order, out))
+            for order, out in zip(orders, results)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for order, out in zip(orders, results):
+        assert out == {d: want[d] for d in order}
 
 
 def test_store_round_trip(tmp_path):
