@@ -726,8 +726,11 @@ def cache_save(store: Store, path: str) -> None:
 
 
 def cache_load(path: str) -> Store:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CacheError(f"cannot read cache file {path!r}: {exc}") from None
     if not raw or raw[0] != CACHE_HEADER:
         raise CacheError(f"unsupported cache header in {path!r}")
     if not raw[-1].startswith("#count="):

@@ -220,21 +220,25 @@ def parse_class(lat: Lattice, text: str) -> DivisorClass:
     """Parse ``d;m1,...,m6`` / ``d1,d2,d3``, or the shorthand ``-nK``."""
     text = text.strip()
     k_mult = _parse_antik(text)
-    if k_mult is not None:
-        return lat.canonical * (-k_mult)
     try:
-        if lat.model == "cubic":
+        if k_mult is not None:
+            d = lat.canonical * (-k_mult)
+        elif lat.model == "cubic":
             parts = [int(p) for p in text.split(",")]
             if len(parts) != 3:
                 raise ValueError
-            return DivisorClass(parts)
-        head, _, tail = text.partition(";")
-        mults = [int(p) for p in tail.split(",")]
-        if not tail or len(mults) != 6:
-            raise ValueError
-        return DivisorClass([int(head)] + [-m for m in mults])
+            d = DivisorClass(parts)
+        else:
+            head, _, tail = text.partition(";")
+            mults = [int(p) for p in tail.split(",")]
+            if not tail or len(mults) != 6:
+                raise ValueError
+            d = DivisorClass([int(head)] + [-m for m in mults])
     except ValueError:
         raise ParseError(f"cannot parse divisor class {text!r}") from None
+    if not any(d.coords):
+        raise ValidationError(f"{text!r} is the zero class")
+    return d
 
 
 def _parse_antik(text: str) -> int | None:
@@ -243,12 +247,7 @@ def _parse_antik(text: str) -> int | None:
     body = text[1:-1]
     if body == "":
         return 1
-    if body.isdigit():
-        mult = int(body)
-        if mult == 0:
-            raise ValidationError(f"{text!r} is the zero class")
-        return mult
-    return None
+    return int(body) if body.isdigit() else None
 
 
 def nef_classes_up_to(
@@ -261,8 +260,15 @@ def nef_classes_up_to(
     On the rank-7 model a nef class dL - sum m_i E_i satisfies
     0 <= m_i, m_i + m_j <= d and sum m_i <= 12d/5 (average the six conic
     inequalities 2d >= sum-minus-one), hence 3d/5 <= -K.D: the search over
-    d <= 5*max_antik/3 is complete.  On the rank-3 model -K.D = d1+d2+d3
-    bounds every coordinate directly.
+    d <= 5*max_antik/3 is complete.  For each d the window fixes the total
+    S = sum m_i to 3d - max_antik <= S <= min(3d - 1, 12d/5).  Each orbit
+    value v keeps v + max m <= d (2v <= d on a conjugate pair), so the E_i
+    and L - E_i - E_j inequalities hold by construction; every later slot
+    is then at most d - max m as well, so a branch that cannot reach the
+    lower end of S even with all of them at that bound holds no class of
+    the window and is cut.  A leaf is nef exactly when the six conic
+    inequalities hold, 2d >= S - min m; only kept leaves become classes.
+    On the rank-3 model -K.D = d1+d2+d3 bounds every coordinate directly.
     """
     found = []
     if lat.model == "cubic":
@@ -275,29 +281,32 @@ def nef_classes_up_to(
 
     # Conjugation-invariance forces m constant on swapped index pairs.
     orbits = _index_orbits(conj_perm)
-    d_max = (5 * max_antik) // 3
-    for deg in range(d_max + 1):
-        sum_cap = (12 * deg) // 5
+    for deg in range(1, (5 * max_antik) // 3 + 1):
+        s_lo = 3 * deg - max_antik
+        s_hi = min(3 * deg - 1, (12 * deg) // 5)
 
-        def rec(orbit_idx: int, m: list, max_m: int, total: int) -> None:
+        def rec(orbit_idx: int, m: list, max_m: int, total: int, left: int) -> None:
             if orbit_idx == len(orbits):
-                cand = DivisorClass([deg] + [-x for x in m])
-                antik = 3 * deg - total
-                if 1 <= antik <= max_antik and is_nef(lat, cand):
-                    found.append(cand)
+                if 2 * deg >= total - min(m):
+                    found.append(DivisorClass([deg] + [-x for x in m]))
                 return
             orbit = orbits[orbit_idx]
-            for v in range(min(deg - max_m, deg) + 1):
+            left -= len(orbit)
+            top = deg - max_m if len(orbit) == 1 else min(deg - max_m, deg // 2)
+            for v in range(top + 1):
                 new_total = total + v * len(orbit)
-                if new_total > sum_cap:
+                if new_total > s_hi:
                     break
+                new_max = max(max_m, v)
+                if new_total + left * (deg - new_max) < s_lo:
+                    continue
                 for i in orbit:
                     m[i] = v
-                rec(orbit_idx + 1, m, max(max_m, v), new_total)
+                rec(orbit_idx + 1, m, new_max, new_total, left)
             for i in orbit:
                 m[i] = 0
 
-        rec(0, [0] * 6, 0, 0)
+        rec(0, [0] * 6, 0, 0, 6)
     return tuple(sorted(found))
 
 

@@ -166,12 +166,11 @@ class SurfaceSpec:
                     if self.antik_degree(d) <= max_antik:
                         out.append(d)
             return tuple(sorted(out))
-        out = [
-            d
-            for d in nef_classes_up_to(self.lattice, self.conj_perm, max_antik)
-            if self.is_nef_big(d)
-        ]
-        return tuple(sorted(out))
+        lat = self.lattice  # the enumerated classes are nef already
+        return tuple(
+            d for d in nef_classes_up_to(lat, self.conj_perm, max_antik)
+            if lat.intersect(d, d) > 0 and self.class_allowed(d)
+        )
 
     # -- initial conditions --------------------------------------------------------
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from welschinger import cli
-from welschinger.engine import cache_load
+from welschinger.engine import CACHE_HEADER, cache_load
 
 
 def run(capsys, *argv):
@@ -175,12 +175,43 @@ def test_corrupt_cache_is_validation_error(capsys, tmp_path):
     assert "header" in err
 
 
+def test_undecodable_cache_is_validation_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(CACHE_HEADER.encode() + b"\nB1|\xff\t1\n#count=1\n")
+    code, out, err = run(capsys, "compute", "--surface", "B1", "--twist", "F",
+                         "--class", "-K", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert "cannot read cache file" in err
+
+
+def test_cache_info_missing_file_is_validation_error(capsys, tmp_path):
+    code, out, err = run(capsys, "cache", "info", str(tmp_path / "no-such-file"))
+    assert (code, out) == (3, "")
+    assert "cannot read cache file" in err
+
+
+def test_cache_directory_is_validation_error(capsys, tmp_path):
+    code, out, err = run(capsys, "compute", "--surface", "B1", "--twist", "F",
+                         "--class", "-K", "--cache", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert "cannot read cache file" in err
+
+
 @pytest.mark.parametrize("text", ["-0K", "-00K"])
 def test_compute_zero_multiple_is_validation_error(capsys, text):
     code, out, err = run(capsys, "compute", "--surface", "P2[6,0]",
                          "--class", text, "--no-cache")
     assert code == 3
     assert out == ""
+    assert "zero class" in err
+
+
+@pytest.mark.parametrize("surface, text", [("P2[6,0]", "0;0,0,0,0,0,0"),
+                                           ("B1", "0,0,0")])
+def test_compute_zero_coordinates_is_validation_error(capsys, surface, text):
+    code, out, err = run(capsys, "compute", "--surface", surface,
+                         "--class", text, "--no-cache")
+    assert (code, out) == (3, "")
     assert "zero class" in err
 
 

@@ -14,6 +14,7 @@ from welschinger.picard import (
     conj_perm_p2,
     is_nef,
     is_nef_big,
+    nef_classes_up_to,
     parse_class,
     r_dim,
 )
@@ -91,6 +92,34 @@ def test_cubic_nef_big_criterion_equals_general_rule():
         d = DivisorClass(coords)
         general = is_nef(CUBIC_LATTICE, d) and CUBIC_LATTICE.intersect(d, d) > 0
         assert is_nef_big(CUBIC_LATTICE, d) == general
+
+
+def test_nef_enumeration_matches_brute_force_oracle():
+    # Oracle: the plain product of multiplicities 0 <= m_i <= d <= 5B/3, kept
+    # inside the window 1 <= -K.D <= B when the 27-line test calls it nef;
+    # the conjugation-invariant part is then taken for each reality pattern.
+    budget = 5
+    nef = []
+    for deg in range(5 * budget // 3 + 1):
+        for m in itertools.product(range(deg + 1), repeat=6):
+            if 1 <= 3 * deg - sum(m) <= budget:
+                d = DivisorClass((deg,) + tuple(-x for x in m))
+                if is_nef(P2_LATTICE, d):
+                    nef.append(d)
+    for n_real in (6, 4, 2, 0):
+        perm = conj_perm_p2(n_real)
+        real = sorted(d for d in nef if conj_class(perm, d) == d)
+        for b in range(1, budget + 1):
+            want = tuple(
+                d for d in real
+                if -P2_LATTICE.intersect(P2_LATTICE.canonical, d) <= b
+            )
+            assert nef_classes_up_to(P2_LATTICE, perm, b) == want
+
+
+@pytest.mark.parametrize("n_real, count", [(6, 2639), (4, 769), (2, 219), (0, 53)])
+def test_nef_class_counts_at_budget_six(n_real, count):
+    assert len(nef_classes_up_to(P2_LATTICE, conj_perm_p2(n_real), 6)) == count
 
 
 def test_candidates_cubic():
