@@ -137,19 +137,16 @@ def _spec(args) -> SurfaceSpec:
 def _evaluators(
     args, specs: List[SurfaceSpec]
 ) -> Tuple[List[Evaluator], Callable[[], None]]:
-    """Evaluators of the specs, preloaded from the store, and the function
-    that writes their records back."""
+    """Evaluators of the specs, reading the store on memo misses, and the
+    function that writes their records back."""
     path = None if args.no_cache else args.cache or os.environ.get("WELSCHINGER_CACHE")
     store = cache_load(path) if path and os.path.exists(path) else {}
-    evs = [Evaluator(spec) for spec in specs]
-    loaded = [ev.preload(store) for ev in evs]
+    evs = [Evaluator(spec, store) for spec in specs]
 
     def save() -> None:
-        # A memo starts as the adopted records, so it holds a record the
-        # store lacks exactly when it has grown.
-        if path and any(
-            ev.cache_stats()["entries"] > n for ev, n in zip(evs, loaded)
-        ):
+        # A miss is a key found neither in the memo nor in the store, so a
+        # memo holds a record the store lacks exactly when it has missed.
+        if path and any(ev.misses for ev in evs):
             for ev in evs:
                 ev.dump(store)
             cache_save(store, path)

@@ -26,13 +26,16 @@ signed count at n > 0 through states of smaller n:
   identities are enforced, not assumed: any violation raises.
 
 All arithmetic is exact (Python integers); the only divisions are inside
-integer multinomials.  Values are memoized per canonical key; the store
-round-trips through a small versioned text format, one record per line.
+integer multinomials.  Values are memoized per canonical key.  A persistent
+store (a small versioned text format, one record per line) is read on
+demand: a memo miss of the full route formats the key, with the function
+that also writes the store, and adopts a stored value into the memo.
 
 On the two-component cubic with the component twist a second route runs
 through the same recursion with restricted summands: l = 0 only, no pair
 items, and rigid factors restricted to real lines.  It keeps its own memo,
-so cross-route equality is a genuine check rather than a cache read-back.
+and never reads the store, so cross-route equality is a genuine check
+rather than a cache read-back.
 
 Each route also keeps one factor table: a block of decorated options for
 every candidate class, sorted by (-K degree, coords).  Candidacy depends
@@ -44,7 +47,11 @@ and a larger budget later appends only the blocks of the new degrees.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -185,6 +192,7 @@ class _Route:
     # (budget, blocks of every candidate of -K degree <= budget); only ever
     # replaced whole, see Evaluator._table
     table: Tuple[int, Tuple[_Block, ...]] = (0, ())
+    store: Optional[Store] = None  # read on a memo miss; full route only
 
 
 def _symmetry_factor(chosen) -> int:
@@ -328,36 +336,25 @@ class Evaluator:
 
     # -- persistent-store bridge ----------------------------------------------------
 
-    def preload(self, store: Store) -> int:
-        """Adopt records of this surface from a string-keyed store."""
-        prefix = self.spec.surface_id + "|"
-        loaded = 0
-        for key_str, value in store.items():
-            if not key_str.startswith(prefix):
-                continue
-            try:
-                _, d_str, a_str, b_str = key_str.split("|")
-                d = self.spec.parse_class(d_str)
-                a = TangencyVector.parse(a_str)
-                b = TangencyVector.parse(b_str)
-            except Exception as exc:
-                raise CacheError(f"malformed cache key {key_str!r}: {exc}") from None
-            self._full.memo[(d.coords, a.key(), b.key())] = value
-            loaded += 1
-        return loaded
+    def preload(self, store: Store) -> None:
+        """Attach a string-keyed store to the full route, which looks its
+        records of this surface up on memo misses."""
+        self._full.store = store
 
     def dump(self, store: Optional[Store] = None) -> Store:
         """Serialize the in-memory memo into a string-keyed store."""
         if store is None:
             store = {}
-        sid = self.spec.surface_id
-        lat = self.spec.lattice
-        for (coords, a_key, b_key), value in self._full.memo.items():
-            d_str = class_to_str(lat, DivisorClass(coords))
-            a_str = _entries_str(a_key)
-            b_str = _entries_str(b_key)
-            store[f"{sid}|{d_str}|{a_str}|{b_str}"] = value
+        for key, value in self._full.memo.items():
+            store[self._store_key(key)] = value
         return store
+
+    def _store_key(self, key: tuple) -> str:
+        """The store's string form of a memo key (coords, alpha, beta)."""
+        coords, a_key, b_key = key
+        d_str = class_to_str(self.spec.lattice, DivisorClass(coords))
+        a_str, b_str = _entries_str(a_key), _entries_str(b_key)
+        return f"{self.spec.surface_id}|{d_str}|{a_str}|{b_str}"
 
     # -- main recursion ------------------------------------------------------------
 
@@ -371,6 +368,10 @@ class Evaluator:
         key = (d.coords, alpha.key(), beta.key())
         counted = route is self._full  # cache_stats covers the full route only
         cached = route.memo.get(key)
+        if cached is None and route.store:
+            cached = route.store.get(self._store_key(key))
+            if cached is not None:
+                route.memo[key] = cached
         if cached is not None:
             self.hits += counted
             return cached
@@ -716,16 +717,39 @@ def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:
 # -- persistent store -----------------------------------------------------------
 
 
+# Records as Evaluator.dump writes them, one per line:
+# <surface id>|<class>|<alpha>|<beta>\t<value>, the class in either lattice's
+# syntax (d;m1,...,m6 or d1,d2,d3), a vector 0 or k:c,k:c,...  The pattern is
+# compiled on first use (the re module caches it), not on import.
+_INT = r"-?[0-9]++"
+_VECTOR = r"(?:0|[0-9]++:[0-9]++(?:,[0-9]++:[0-9]++)*+)"
+_CLASS = rf"{_INT}(?:;{_INT}(?:,{_INT}){{5}}|,{_INT},{_INT})"
+_RECORDS = rf"(?:[^|\t\n]++\|{_CLASS}\|{_VECTOR}\|{_VECTOR}\t{_INT}(?:\n|\Z))*+"
+
+
 def cache_save(store: Store, path: str) -> None:
+    """Write the store through a temporary file in the same directory, so a
+    failed or interrupted save leaves the old file as it was."""
     lines = [CACHE_HEADER]
     for key in sorted(store):
         lines.append(f"{key}\t{store[key]}")
     lines.append(f"#count={len(store)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # unique among live writers: one per process and thread
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise CacheError(f"cannot write cache file {path!r}: {exc}") from None
+        raise
 
 
 def cache_load(path: str) -> Store:
+    """Read a store, refusing it whole if any record is malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -745,13 +769,16 @@ def cache_load(path: str) -> Store:
             f"cache file {path!r} is truncated: {len(records)} records, "
             f"trailer says {count}"
         )
+    body = "\n".join(records)
+    valid = re.match(_RECORDS, body).end()  # the longest run of good records
+    if valid != len(body):
+        lineno = body.count("\n", 0, valid) + 2
+        raise CacheError(f"malformed cache record at line {lineno}")
     store: Store = {}
-    for lineno, line in enumerate(records, start=2):
-        key, tab, value = line.rpartition("\t")
-        if not tab or not key:
-            raise CacheError(f"malformed cache record at line {lineno}")
-        try:
+    try:
+        for line in records:
+            key, _, value = line.rpartition("\t")
             store[key] = int(value)
-        except ValueError:
-            raise CacheError(f"malformed cache value at line {lineno}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise CacheError(f"malformed cache value in {path!r}: {exc}") from None
     return store

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -195,6 +196,46 @@ def test_cache_directory_is_validation_error(capsys, tmp_path):
                          "--class", "-K", "--cache", str(tmp_path))
     assert (code, out) == (3, "")
     assert "cannot read cache file" in err
+
+
+def test_malformed_cache_key_is_validation_error(capsys, tmp_path):
+    path = tmp_path / "garbage-key.txt"
+    path.write_text(
+        f"{CACHE_HEADER}\nB1/tF/bd-/E1,0,0|garbage|0|1:1\t4\n#count=1\n"
+    )
+    for argv in (["cache", "info", str(path)],
+                 ["compute", "--surface", "B1", "--twist", "F", "--class", "-K",
+                  "--cache", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "malformed cache record at line 2" in err
+
+
+def test_unwritable_cache_is_validation_error(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "store.txt"
+    code, out, err = run(capsys, "compute", "--surface", "B1", "--twist", "F",
+                         "--class", "-K", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert "cannot write cache file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_save_keeps_old_store(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "store.txt"
+    argv = ["compute", "--surface", "B1", "--twist", "F", "--cache", str(path)]
+    code, _, _ = run(capsys, *argv, "--class", "-K")
+    assert code == 0
+    written = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, out, err = run(capsys, *argv, "--class", "-2K")
+    assert (code, out) == (3, "")
+    assert "disk full" in err
+    assert path.read_bytes() == written
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
 @pytest.mark.parametrize("text", ["-0K", "-00K"])

@@ -299,6 +299,34 @@ def test_store_isolated_by_surface(tmp_path):
     assert ev0.eval(key_of(spec_0, "-2K")) == 0
 
 
+def test_store_is_read_on_demand():
+    spec = make_surface("B1", twist="F")
+    ev = Evaluator(spec)
+    ev.eval(key_of(spec, "-2K"))
+    ev.eval(key_of(spec, "3,2,2"))
+    store = ev.dump()
+    want = Evaluator(spec).eval(key_of(spec, "-K"))
+    warm = Evaluator(spec, store=store)
+    assert warm.eval(key_of(spec, "-K")) == want
+    stats = warm.cache_stats()
+    assert stats["misses"] == 0 and stats["hits"] >= 1
+    assert stats["entries"] < len(store)  # every record is of B1/F
+
+
+def test_reduced_route_never_reads_store():
+    spec = make_surface("B1", twist="F")
+    key = key_of(spec, "-K")
+    ev = Evaluator(spec)
+    want = ev.eval(key)
+    store = ev.dump()
+    top = f"{spec.surface_id}|{spec.class_str(key.d)}|{key.alpha}|{key.beta}"
+    assert store[top] == want
+    store[top] = want + 1000
+    warm = Evaluator(spec, store=store)
+    assert warm.eval(key) == want + 1000  # the full route serves the record
+    assert warm.eval_cubic_fast(key) == want
+
+
 def test_cache_file_errors(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("SOMETHING ELSE\n")
@@ -325,11 +353,12 @@ def test_cache_file_errors(tmp_path):
         cache_load(str(mangled))
 
     notint = tmp_path / "notint.txt"
-    bad_lines = list(lines)
-    bad_lines[1] = bad_lines[1].split("\t")[0] + "\txyz"
-    notint.write_text("\n".join(bad_lines) + "\n")
-    with pytest.raises(CacheError):
-        cache_load(str(notint))
+    for value in ("xyz", "9" * 5000):  # the second is past int()'s digit limit
+        bad_lines = list(lines)
+        bad_lines[1] = bad_lines[1].split("\t")[0] + "\t" + value
+        notint.write_text("\n".join(bad_lines) + "\n")
+        with pytest.raises(CacheError):
+            cache_load(str(notint))
 
 
 def test_fast_route_guard():

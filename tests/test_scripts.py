@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment drivers under scripts/ at small bounds."""
+"""Smoke runs of the experiment drivers under scripts/ at small bounds, and
+a check that the benchmark's traced mode finds every name it wraps."""
 
+import importlib
 import re
 import subprocess
 import sys
@@ -37,3 +39,22 @@ def test_property_suites_reject_too_small_bound():
         "validation error: monotone pairs need a bound of at least 5: "
         "no nef-big class has -K.D <= 2"
     ]
+
+
+def test_benchmark_tracer_patches_existing_names(monkeypatch):
+    # The traced benchmark run wraps program functions by name; a renamed
+    # or removed function must fail here rather than in the benchmark.
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert callable(original), (owner, attr)
+            assert getattr(owner, attr) is not original, (owner, attr)
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, (owner, attr)
