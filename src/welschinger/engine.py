@@ -51,7 +51,6 @@ import contextlib
 import math
 import os
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -719,12 +718,14 @@ def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:
 
 # Records as Evaluator.dump writes them, one per line:
 # <surface id>|<class>|<alpha>|<beta>\t<value>, the class in either lattice's
-# syntax (d;m1,...,m6 or d1,d2,d3), a vector 0 or k:c,k:c,...  The pattern is
-# compiled on first use (the re module caches it), not on import.
-_INT = r"-?[0-9]++"
-_VECTOR = r"(?:0|[0-9]++:[0-9]++(?:,[0-9]++:[0-9]++)*+)"
+# syntax (d;m1,...,m6 or d1,d2,d3), a vector 0 or k:c,k:c,...  Every field
+# ends at a character its class excludes, so a match never backtracks far.
+# The pattern is compiled on first use (the re module caches it).
+_INT = r"-?[0-9]+"
+_VECTOR = r"(?:0|[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*)"
 _CLASS = rf"{_INT}(?:;{_INT}(?:,{_INT}){{5}}|,{_INT},{_INT})"
-_RECORDS = rf"(?:[^|\t\n]++\|{_CLASS}\|{_VECTOR}\|{_VECTOR}\t{_INT}(?:\n|\Z))*+"
+# a newline not followed by a whole record: the start of the first bad line
+_BAD_RECORD = rf"\n(?![^|\t\n]+\|{_CLASS}\|{_VECTOR}\|{_VECTOR}\t{_INT}(?:\n|\Z))"
 
 
 def cache_save(store: Store, path: str) -> None:
@@ -734,12 +735,14 @@ def cache_save(store: Store, path: str) -> None:
     for key in sorted(store):
         lines.append(f"{key}\t{store[key]}")
     lines.append(f"#count={len(store)}")
-    # unique among live writers: one per process and thread
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    target = os.path.realpath(path)  # a symlinked store stays a link
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -769,10 +772,10 @@ def cache_load(path: str) -> Store:
             f"cache file {path!r} is truncated: {len(records)} records, "
             f"trailer says {count}"
         )
-    body = "\n".join(records)
-    valid = re.match(_RECORDS, body).end()  # the longest run of good records
-    if valid != len(body):
-        lineno = body.count("\n", 0, valid) + 2
+    body = "\n".join(["", *records])  # each record after a newline
+    bad = re.search(_BAD_RECORD, body)
+    if bad:
+        lineno = body.count("\n", 0, bad.start()) + 2
         raise CacheError(f"malformed cache record at line {lineno}")
     store: Store = {}
     try:

@@ -351,6 +351,11 @@ def test_cache_file_errors(tmp_path):
     mangled.write_text("\n".join(bad_lines) + "\n")
     with pytest.raises(CacheError, match="line 2"):
         cache_load(str(mangled))
+    bad_lines = list(lines)
+    bad_lines[-2] = "|" + bad_lines[-2]  # the last record, empty surface id
+    mangled.write_text("\n".join(bad_lines) + "\n")
+    with pytest.raises(CacheError, match=f"line {len(lines) - 1}"):
+        cache_load(str(mangled))
 
     notint = tmp_path / "notint.txt"
     for value in ("xyz", "9" * 5000):  # the second is past int()'s digit limit
@@ -359,6 +364,20 @@ def test_cache_file_errors(tmp_path):
         notint.write_text("\n".join(bad_lines) + "\n")
         with pytest.raises(CacheError):
             cache_load(str(notint))
+
+
+def test_save_through_symlink_replaces_its_target(tmp_path):
+    spec = make_surface("B1", twist="F")
+    ev = Evaluator(spec)
+    ev.eval(key_of(spec, "-K"))
+    target = tmp_path / "store.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    cache_save(ev.dump(), str(link))
+    assert link.is_symlink()
+    assert cache_load(str(target)) == ev.dump()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "store.txt"]
 
 
 def test_fast_route_guard():
