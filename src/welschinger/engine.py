@@ -43,11 +43,24 @@ only on the class and its degree, so the candidates under a smaller
 anticanonical budget are the table's prefix of degree <= budget.  The
 table is enumerated once, at the first budget asked for (the top key's),
 and a larger budget later appends only the blocks of the new degrees.
+A class's options depend on the class only through its E-degree and its
+dimensions n_i = (-K.D - E.D - 1) + |beta|, so each E-degree has one
+sorted template of tangency decorations (alpha, beta and the marked
+branches), built once per process and shared by every surface; a block
+stamps its class's n_i onto the template's rows.
+
+The factor search walks the blocks in table order.  Before it descends
+into a block it tests the fit on the coordinates, the remainder t - b
+passing _feasible (rank 7: b_0 <= t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1,
+b_i >= t_i for i >= 3; rank 3: b_i <= t_i), or, where the block uses up
+the E-degree or the -K degree, b = t.  Only a block that fits gets its
+remainder built.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import re
@@ -212,6 +225,31 @@ def _symmetry_factor(chosen) -> int:
     return sym
 
 
+@functools.lru_cache(maxsize=None)
+def _option_template(e_deg: int) -> Tuple[tuple, ...]:
+    """The decorations any candidate class of E-degree `e_deg` can carry, in
+    canonical (alpha, beta) order.  A row is (alpha, I(alpha), beta, |beta|,
+    gammas, alpha key, beta key, whether alpha = 0 and beta = theta_1); the
+    gammas are (gamma, beta - gamma, I(beta - gamma), beta_j) per order j
+    in the support of beta.  Beta stays nonzero: I(beta) = e_deg - I(alpha)
+    >= 1.  Nothing here depends on the surface, so the rows are shared."""
+    th1 = theta(1)
+    rows = []
+    for ia in range(e_deg):
+        for av in odd_partitions(ia):
+            for bv in odd_partitions(e_deg - ia):
+                gammas = tuple(
+                    (theta(j), bv - theta(j), iweight(bv) - j, bv[j])
+                    for j in bv.support()
+                )
+                rows.append(
+                    (av, ia, bv, norm(bv), gammas, av.key(), bv.key(),
+                     not av and bv == th1)
+                )
+    rows.sort(key=lambda row: (row[5], row[6]))
+    return tuple(rows)
+
+
 def _multinomial_exact(total: int, parts: List[int], context: str) -> int:
     """(total)! / prod(parts!) with sum(parts) == total, division-free."""
     result = 1
@@ -267,6 +305,10 @@ class Evaluator:
         # The reduced route of the twisted cubic; subsets[0] is the empty one.
         self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
+        # lines other than E: the rigid factors the reduced route admits
+        self._line_coords = frozenset(
+            line.coords for line in spec.lattice.lines if line != spec.e_class
+        )
         if store:
             self.preload(store)
 
@@ -532,33 +574,26 @@ class Evaluator:
     def _options(
         self, cls: DivisorClass, rigid_lines_only: bool
     ) -> Tuple[_Option, ...]:
-        """The decorated options of one candidate class, in canonical order."""
+        """The decorated options of one candidate class, in canonical order:
+        the template of its E-degree stamped with its dimensions."""
         spec = self.spec
         e_deg = spec.e_degree(cls)
-        real_line = cls in spec.lattice.lines and cls != spec.e_class
+        base = spec.antik_degree(cls) - e_deg - 1  # n_i = base + |beta|
+        coords = cls.coords
+        line = coords in self._line_coords
         opts: List[_Option] = []
-        for ia in range(e_deg):  # beta stays nonzero: I(beta) = e_deg - ia >= 1
-            for av in odd_partitions(ia):
-                for bv in odd_partitions(e_deg - ia):
-                    n_i = spec.r_dim_class(cls, norm(bv))
-                    if n_i < 0:
-                        continue
-                    if rigid_lines_only and n_i == 0 and not (
-                        real_line and not av and bv == theta(1)
-                    ):
-                        continue
-                    gammas = tuple(
-                        (theta(j), bv - theta(j), iweight(bv) - j, bv[j])
-                        for j in bv.support()
-                    )
-                    opts.append(
-                        _Option(
-                            cls, av, iweight(av), bv, n_i,
-                            rigid=(n_i == 0 and not av), gammas=gammas,
-                            memo_key=(cls.coords, av.key(), bv.key()),
-                        )
-                    )
-        opts.sort(key=lambda o: (o.alpha.key(), o.beta.key()))
+        for av, ia, bv, nb, gammas, a_key, b_key, simple in _option_template(e_deg):
+            n_i = base + nb
+            if n_i < 0:
+                continue
+            if rigid_lines_only and n_i == 0 and not (line and simple):
+                continue
+            opts.append(
+                _Option(
+                    cls, av, ia, bv, n_i, rigid=(n_i == 0 and not ia), gammas=gammas,
+                    memo_key=(coords, a_key, b_key),
+                )
+            )
         return tuple(opts)
 
     def _local_blocks(
@@ -566,12 +601,15 @@ class Evaluator:
     ) -> Tuple[_Block, ...]:
         """Blocks that can fit under the largest target of one evaluation.
 
-        The table's prefix of -K degree <= budget holds the candidates.
-        Remainder coordinates only move toward the feasible box, so a class
-        that does not fit the c = 0 target never fits any remainder: degree
-        at most d(T); multiplicities at most m_i(T), with one unit of slack
-        on the two slots whose exceptional curves are themselves (rigid,
-        once-only) candidates.
+        The table's prefix of -K degree <= budget holds the candidates.  A
+        block b fits a target t when t - b passes _feasible: b_0 <= t_0,
+        b_i >= t_i - 1 for i = 1, 2 and b_i >= t_i for i >= 3 on rank 7
+        (degree at most d(T); multiplicities at most m_i(T), with one unit
+        of slack on the two slots whose exceptional curves are themselves
+        rigid, once-only candidates), b_i <= t_i on rank 3.  The factor
+        search makes the same test before each descent.  Remainder
+        coordinates only move toward the feasible box, so a class that
+        does not fit the c = 0 target never fits any remainder.
         """
         cubic = self.spec.lattice.model == "cubic"
         tc = t_max.coords
@@ -611,14 +649,16 @@ class Evaluator:
         lines other than E carrying a single simple moving branch.
         """
         spec = self.spec
-        t0 = t_class.coords
-        if not self._feasible(t0):
+        t_root = t_class.coords
+        if not self._feasible(t_root):
             return
         te0 = spec.e_degree(t_class)
         ak0 = spec.antik_degree(t_class)
-        ibm0 = iweight(bm_target)
         zero_t = self._zero_coords
-        feasible = self._feasible
+        if t_root != zero_t and (te0 < 1 or ak0 < 1):
+            return
+        ibm0 = iweight(bm_target)
+        cubic = spec.lattice.model == "cubic"
         n_blocks = len(blocks)
         memo = route.memo
         value_of = self._value
@@ -641,10 +681,15 @@ class Evaluator:
                 if not bm_rem and ns_rem == 0:
                     yield tuple(acc)
                 return
-            if te_rem < 1 or ak_rem < 1 or ibm_rem > te_rem - 1:
+            # te_rem >= 1, ak_rem >= 1 and a feasible t_rem hold already:
+            # the root is checked above, every descent below.
+            if ibm_rem > te_rem - 1:
                 return
-            if not feasible(t_rem):
-                return
+            if cubic:
+                t0, t1, t2 = t_rem
+            else:
+                t0, t1, t2, t3, t4, t5, t6 = t_rem
+                s1, s2 = t1 - 1, t2 - 1
             for bi in range(b0, n_blocks):
                 blk = blocks[bi]
                 new_ak = ak_rem - blk.antik
@@ -653,12 +698,30 @@ class Evaluator:
                 new_te = te_rem - blk.e_deg
                 if new_te < 0:
                     continue
-                bc = blk.coords
-                new_t = tuple(x - y for x, y in zip(t_rem, bc))
-                if new_t != zero_t and (
-                    new_te < 1 or new_ak < 1 or not feasible(new_t)
-                ):
-                    continue  # no option of this class can lead anywhere
+                # A nonzero remainder needs both degrees >= 1, so at a zero
+                # degree only the block that is the whole remainder goes on.
+                # Otherwise the block fits when t_rem - c is feasible (see
+                # _feasible), tested on the coordinates before the remainder
+                # is built.
+                c = blk.coords
+                if new_te == 0 or new_ak == 0:
+                    if c != t_rem:
+                        continue
+                    new_t = zero_t
+                elif cubic:
+                    if c[0] > t0 or c[1] > t1 or c[2] > t2:
+                        continue
+                    new_t = (t0 - c[0], t1 - c[1], t2 - c[2])
+                else:
+                    if (
+                        c[0] > t0 or c[1] < s1 or c[2] < s2 or c[3] < t3
+                        or c[4] < t4 or c[5] < t5 or c[6] < t6
+                    ):
+                        continue
+                    new_t = (
+                        t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
+                        t4 - c[4], t5 - c[5], t6 - c[6],
+                    )
                 o_begin = o0 if bi == b0 else 0
                 for oi in range(o_begin, len(blk.opts)):
                     opt = blk.opts[oi]
@@ -690,7 +753,8 @@ class Evaluator:
                         acc.pop()
 
         yield from dfs(
-            0, 0, 0, False, t0, te0, ak0, alpha_budget, bm_target, ibm0, ns_target, []
+            0, 0, 0, False, t_root, te0, ak0, alpha_budget, bm_target, ibm0,
+            ns_target, [],
         )
 
     def _feasible(self, t_rem: Tuple[int, ...]) -> bool:

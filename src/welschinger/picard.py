@@ -182,8 +182,12 @@ def r_dim(
 
     `beta_norm` is the norm of the combined vector beta_re + 2*beta_im.
     """
-    ke = lat.canonical + e_class
-    return -lat.intersect(class_sum, ke) + beta_norm - (2 if pair else 1)
+    return (
+        -lat.intersect(class_sum, lat.canonical)
+        - lat.intersect(class_sum, e_class)
+        + beta_norm
+        - (2 if pair else 1)
+    )
 
 
 def is_nef(lat: Lattice, d: DivisorClass) -> bool:

@@ -3,6 +3,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from welschinger import engine
 from welschinger.engine import (
@@ -13,8 +14,9 @@ from welschinger.engine import (
 )
 from welschinger.errors import CacheError, ValidationError
 from welschinger.invariants import welschinger
+from welschinger.picard import candidate_factors
 from welschinger.surfaces import make_surface
-from welschinger.tangency import TangencyVector, odd_partitions, theta
+from welschinger.tangency import TangencyVector, iweight, norm, odd_partitions, theta
 
 ZERO = TangencyVector.zero()
 
@@ -194,6 +196,177 @@ def test_eval_independent_of_enumeration_order():
     want_f = Evaluator(spec_f).eval(key_of(spec_f, "-2K"))
     shuffled = _ShuffledEvaluator(spec_f, 7)
     assert shuffled.eval(key_of(spec_f, "-2K")) == want_f
+
+
+def _per_class_options(spec, cls, rigid_lines_only):
+    """Reference for Evaluator._options: the per-class loop it replaced,
+    recomputing the odd partitions, r_dim_class, the real-line rule and the
+    gammas for this one class."""
+    e_deg = spec.e_degree(cls)
+    real_line = cls in spec.lattice.lines and cls != spec.e_class
+    opts = []
+    for ia in range(e_deg):
+        for av in odd_partitions(ia):
+            for bv in odd_partitions(e_deg - ia):
+                n_i = spec.r_dim_class(cls, norm(bv))
+                if n_i < 0:
+                    continue
+                if rigid_lines_only and n_i == 0 and not (
+                    real_line and not av and bv == theta(1)
+                ):
+                    continue
+                gammas = tuple(
+                    (theta(j), bv - theta(j), iweight(bv) - j, bv[j])
+                    for j in bv.support()
+                )
+                opts.append(
+                    engine._Option(
+                        cls, av, iweight(av), bv, n_i,
+                        rigid=(n_i == 0 and not av), gammas=gammas,
+                        memo_key=(cls.coords, av.key(), bv.key()),
+                    )
+                )
+    opts.sort(key=lambda o: (o.alpha.key(), o.beta.key()))
+    return tuple(opts)
+
+
+@pytest.mark.parametrize(
+    "model, a, b, twist",
+    [
+        ("P2", 6, 0, "0"), ("P2", 4, 1, "0"), ("P2", 2, 2, "0"), ("P2", 0, 3, "0"),
+        ("B1", 0, 0, "0"), ("B1", 0, 0, "F"), ("B", 0, 0, "F"),
+    ],
+)
+def test_options_match_per_class_loop(model, a, b, twist):
+    spec = make_surface(model, a, b, twist=twist)
+    ev = Evaluator(spec)
+    classes = candidate_factors(
+        spec.lattice, spec.conj_perm, spec.e_class, 7,
+        blocked=spec.candidate_blocked(),
+    )
+    for cls in classes:
+        for rigid_lines_only in (False, True):
+            want = _per_class_options(spec, cls, rigid_lines_only)
+            assert ev._options(cls, rigid_lines_only) == want, (cls, rigid_lines_only)
+
+
+class _LinearScanEvaluator(Evaluator):
+    """Evaluator whose factor search subtracts every block from the
+    remainder and then tests the difference with _feasible: the scan the
+    inline fit test of Evaluator._factor_multisets replaced."""
+
+    def _factor_multisets(
+        self, route, t_class, alpha_budget, bm_target, ns_target, blocks
+    ):
+        spec = self.spec
+        t0 = t_class.coords
+        if not self._feasible(t0):
+            return
+        te0 = spec.e_degree(t_class)
+        ak0 = spec.antik_degree(t_class)
+        ibm0 = iweight(bm_target)
+        zero_t = self._zero_coords
+        feasible = self._feasible
+        n_blocks = len(blocks)
+
+        def dfs(b0, o0, g0, repick, t_rem, te_rem, ak_rem, a_rem, bm_rem,
+                ibm_rem, ns_rem, acc):
+            if t_rem == zero_t:
+                if not bm_rem and ns_rem == 0:
+                    yield tuple(acc)
+                return
+            if te_rem < 1 or ak_rem < 1 or ibm_rem > te_rem - 1:
+                return
+            if not feasible(t_rem):
+                return
+            for bi in range(b0, n_blocks):
+                blk = blocks[bi]
+                new_ak = ak_rem - blk.antik
+                if new_ak < 0:
+                    break
+                new_te = te_rem - blk.e_deg
+                if new_te < 0:
+                    continue
+                new_t = tuple(x - y for x, y in zip(t_rem, blk.coords))
+                if new_t != zero_t and (
+                    new_te < 1 or new_ak < 1 or not feasible(new_t)
+                ):
+                    continue
+                o_begin = o0 if bi == b0 else 0
+                for oi in range(o_begin, len(blk.opts)):
+                    opt = blk.opts[oi]
+                    same = repick and bi == b0 and oi == o0
+                    if opt.n_i > ns_rem:
+                        continue
+                    if opt.rigid and same:
+                        continue
+                    if opt.ialpha and not opt.alpha <= a_rem:
+                        continue
+                    if self._value(route, opt.cls, opt.alpha, opt.beta) == 0:
+                        continue
+                    new_a = a_rem - opt.alpha if opt.ialpha else a_rem
+                    g_begin = g0 if same else 0
+                    for g_idx in range(g_begin, len(opt.gammas)):
+                        gamma, beta_minus, ibm_d, bweight = opt.gammas[g_idx]
+                        if ibm_d > ibm_rem or not beta_minus <= bm_rem:
+                            continue
+                        acc.append((opt, gamma, beta_minus, bweight))
+                        yield from dfs(
+                            bi, oi, g_idx, True, new_t, new_te, new_ak, new_a,
+                            bm_rem - beta_minus, ibm_rem - ibm_d,
+                            ns_rem - opt.n_i, acc,
+                        )
+                        acc.pop()
+
+        yield from dfs(
+            0, 0, 0, False, t0, te0, ak0, alpha_budget, bm_target, ibm0, ns_target, []
+        )
+
+
+# surface -> -K degree bound of the drawn classes
+_SEARCH_SURFACES = {("P2", 6, 0, "0"): 5, ("P2", 2, 2, "0"): 6, ("B1", 0, 0, "F"): 10}
+_search_pairs = {}
+
+
+def _search_pair(surface):
+    """A fast and a linear-scan evaluator of one surface and the classes
+    drawn on it, built once and kept warm across examples."""
+    if surface not in _search_pairs:
+        model, a, b, twist = surface
+        spec = make_surface(model, a, b, twist=twist)
+        bound = _SEARCH_SURFACES[surface]
+        classes = sorted(
+            set(spec.nef_big_classes(bound)) | set(candidate_factors(
+                spec.lattice, spec.conj_perm, spec.e_class, bound,
+                blocked=spec.candidate_blocked(),
+            ))
+        )
+        _search_pairs[surface] = (
+            Evaluator(spec), _LinearScanEvaluator(spec), tuple(classes)
+        )
+    return _search_pairs[surface]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_factor_search_matches_linear_scan(data):
+    # A split sum yields one term per factor collection, and the term lists
+    # the collection's decorated factors (class, alpha, beta, gamma): equal
+    # term lists mean equal collections, in the same order.
+    surface = data.draw(st.sampled_from(sorted(_SEARCH_SURFACES)))
+    fast, slow, classes = _search_pair(surface)
+    spec = fast.spec
+    d = data.draw(st.sampled_from(classes))
+    de = spec.e_degree(d)
+    ia = data.draw(st.integers(0, de))
+    alpha = data.draw(st.sampled_from(odd_partitions(ia)))
+    beta = data.draw(st.sampled_from(odd_partitions(de - ia)))
+    n = spec.r_dim_class(d, norm(beta))
+    assume(n >= 1 and spec.class_allowed(d))
+    route = data.draw(st.sampled_from(("_full", "_reduced")))
+    want = list(slow._split_terms(getattr(slow, route), d, alpha, beta, n))
+    got = list(fast._split_terms(getattr(fast, route), d, alpha, beta, n))
+    assert got == want
 
 
 def test_cold_eval_enumerates_candidates_once(monkeypatch):

@@ -192,6 +192,19 @@ def test_conj_is_gram_isometry(a, b, n_real):
     assert P2_LATTICE.intersect(sx, sy) == P2_LATTICE.intersect(x, y)
 
 
+@given(coords7, coords3, st.integers(0, 2), st.integers(0, 6), st.booleans())
+def test_r_dim_pairs_with_k_plus_e(a, c, line, beta_norm, pair):
+    # r_dim pairs the class with K and with E separately; one pairing with
+    # the sum K + E must give the same count.
+    cases = (
+        (P2_LATTICE, E_AUX, DivisorClass(a)),
+        (CUBIC_LATTICE, CUBIC_LATTICE.lines[line], DivisorClass(c)),
+    )
+    for lat, e_cls, d in cases:
+        want = -lat.intersect(d, lat.canonical + e_cls) + beta_norm - (2 if pair else 1)
+        assert r_dim(lat, e_cls, d, beta_norm, pair) == want
+
+
 def test_k_plus_e_identities():
     # used by the recursion's bound derivations on every supported pair
     cases = [(P2_LATTICE, E_AUX)] + [(CUBIC_LATTICE, l) for l in CUBIC_LATTICE.lines]
