@@ -58,7 +58,7 @@ def main() -> int:
               f"{mono_bad} violations")
 
     spec60 = make_surface("P2", 6, 0)
-    sym = symmetry_scan(spec60, 6, evaluator=Evaluator(spec60))
+    sym = symmetry_scan(spec60, 6)
     sym_bad = [r for r in sym if not r[4]]
     failures += len(sym_bad)
     print(f"symmetry: {len(sym)} relabelings, {len(sym_bad)} violations")

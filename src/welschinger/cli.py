@@ -281,6 +281,13 @@ def cmd_scan(args) -> int:
                for d, v1, v2, same in rows]
         _emit_rows(args, ["class", "full", second, "status"], out)
         return 0 if all(r[3] for r in rows) else 1
+    if mode == "symmetry":
+        # A fresh raw-keyed evaluator; the store is neither read nor written.
+        rows = symmetry_scan(spec, args.bound)
+        out = [(spec.class_str(a), spec.class_str(b), v1, v2,
+                "ok" if same else "VIOLATION") for a, b, v1, v2, same in rows]
+        _emit_rows(args, ["class", "relabeled", "value", "value2", "status"], out)
+        return 0 if all(r[4] for r in rows) else 1
     (ev,), save = _evaluators(args, [spec])
     violations = 0
     if mode == "positivity":
@@ -292,7 +299,7 @@ def cmd_scan(args) -> int:
         if violations and spec.lattice.model == "cubic" and spec.twist == "0":
             print("note: expected: outside theorem scope (untwisted, "
                   "disconnected real part)", file=sys.stderr)
-    elif mode == "monotonicity":
+    else:  # monotonicity
         pairs = sample_monotone_pairs(spec, 10, antik_cap=args.bound)
         out = []
         for d_prime, d in pairs:
@@ -305,12 +312,6 @@ def cmd_scan(args) -> int:
         _emit_rows(
             args, ["from", "to", "product", "W(D)", "bound", "status"], out
         )
-    else:  # symmetry
-        rows = symmetry_scan(spec, args.bound, evaluator=ev)
-        out = [(spec.class_str(a), spec.class_str(b), v1, v2,
-                "ok" if same else "VIOLATION") for a, b, v1, v2, same in rows]
-        violations = sum(1 for r in rows if not r[4])
-        _emit_rows(args, ["class", "relabeled", "value", "value2", "status"], out)
     save()
     return 1 if violations else 0
 

@@ -26,10 +26,28 @@ signed count at n > 0 through states of smaller n:
   identities are enforced, not assumed: any violation raises.
 
 All arithmetic is exact (Python integers); the only divisions are inside
-integer multinomials.  Values are memoized per canonical key.  A persistent
-store (a small versioned text format, one record per line) is read on
-demand: a memo miss of the full route formats the key, with the function
-that also writes the store, and adopts a stored value into the memo.
+integer multinomials.
+
+Values are memoized per relabelling orbit.  A state's value does not change
+under the relabellings that fix E = L - E1 - E2: swapping E1 and E2 when
+both are real, permuting the other real points, and permuting whole
+conjugate pairs, blown-down points left in place.  Each evaluator builds
+one map from its surface (_orbit_map) that sorts the coordinates within
+those groups, and keys its memo by the image, so a state is computed once
+per orbit and its relabelled members read it back.  The factor options
+carry their keys already mapped.  Only the keys change: the recursion
+still enumerates raw classes, so terms, traces and values are those of the
+raw state.  The symmetry factor of a factor collection therefore compares
+the options themselves, never their memo keys: two factors of one orbit
+share a key but are different factors.  On the cubic the map is the
+identity and the key stays the raw coordinates.  `canonicalize=False`
+keys the memo by raw classes, the oracle the relabelling checks need.
+
+A persistent store (a small versioned text format, one record per line) is
+read on demand: a memo miss of the full route formats the key, with the
+function that also writes the store, and adopts a stored value into the
+memo.  Its keys are orbit representatives; a record of another member of
+an orbit, as a raw-keyed memo writes them, is valid but never read.
 
 On the two-component cubic with the component twist a second route runs
 through the same recursion with restricted summands: l = 0 only, no pair
@@ -62,11 +80,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import CacheError, InternalCheckError, ValidationError
 from .picard import DivisorClass, candidate_factors, class_to_str
@@ -198,8 +217,9 @@ class _Route:
 
     memo: Dict[tuple, int]
     l_max: float  # largest l of the split sum: math.inf or 0
-    # admitted subsets of the pair menu: (item ids, class sum, weight)
-    pair_subsets: Tuple[Tuple[Tuple[str, ...], DivisorClass, int], ...]
+    # admitted subsets of the pair menu: (item ids, class-sum coords, its
+    # E-degree, its -K degree, weight)
+    pair_subsets: Tuple[Tuple[Tuple[str, ...], Tuple[int, ...], int, int, int], ...]
     rigid_lines_only: bool  # rigid factors must be real lines other than E
     # (budget, blocks of every candidate of -K degree <= budget); only ever
     # replaced whole, see Evaluator._table
@@ -210,19 +230,70 @@ class _Route:
 def _symmetry_factor(chosen) -> int:
     """Order of the stabilizer of a canonically sorted factor collection:
     the product of multiplicities! over repeated identical decorated
-    (class, alpha, beta, gamma) picks."""
+    (class, alpha, beta, gamma) picks.
+
+    Each (class, alpha, beta) of a table is one _Option object, so the same
+    object means the same raw decorated factor.  The memo keys do not: two
+    options of one relabelling orbit share their memo key, and counting
+    them as repeats would divide by a wrong stabilizer."""
     sym = 1
     run = 1
     for i in range(1, len(chosen)):
-        if (
-            chosen[i][0].memo_key == chosen[i - 1][0].memo_key
-            and chosen[i][1] == chosen[i - 1][1]
-        ):
+        if chosen[i][0] is chosen[i - 1][0] and chosen[i][1] == chosen[i - 1][1]:
             run += 1
             sym *= run
         else:
             run = 1
     return sym
+
+
+def _orbit_map(
+    spec: SurfaceSpec,
+) -> Optional[Callable[[Tuple[int, ...]], Tuple[int, ...]]]:
+    """The canonical relabelling of a class's coordinates, or None where
+    every relabelling is the identity.
+
+    The value of a state (D, alpha, beta) depends only on the real structure
+    and on E = L - E1 - E2, so it is unchanged by relabellings that fix E:
+    swapping E1 and E2 when both are real, permuting the real E_i with
+    i >= 3, and permuting whole conjugate pairs (E_i, E_conj(i)) with
+    i >= 3.  Blown-down slots are left alone, since the blow-down singles
+    them out.  The map sorts the coordinates within each of those groups,
+    a pair moving as one unit, so it picks one member of each orbit: the
+    least in tuple order.  The rank-3 lattice of the cubic has no such
+    relabelling.
+    """
+    if spec.lattice.model == "cubic":
+        return None
+    conj = spec.conj_perm
+    free = [i for i in range(3, 7) if i not in spec.blown_down]
+    heads = (1, 2) if spec.n_real >= 2 else ()
+    reals = tuple(i for i in free if i <= spec.n_real)
+    real_groups = [slots for slots in (heads, reals) if len(slots) > 1]
+    pairs = [(i, conj[i]) for i in free if conj[i] > i]
+    if len(pairs) < 2:
+        pairs = []
+    if not real_groups and not pairs:
+        return None
+    # The sorted values are gathered group by group after the fixed slots,
+    # then put back in slot order in one step.
+    moved = [i for slots in real_groups + pairs for i in slots]
+    fixed = [i for i in range(spec.lattice.rank) if i not in moved]
+    order = fixed + moved
+    place = operator.itemgetter(*[order.index(i) for i in range(len(order))])
+    real_gets = [operator.itemgetter(*slots) for slots in real_groups]
+    pair_gets = [operator.itemgetter(*pair) for pair in pairs]
+
+    def canonical(coords: Tuple[int, ...]) -> Tuple[int, ...]:
+        values = [coords[i] for i in fixed]
+        for get in real_gets:
+            values += sorted(get(coords))
+        if pair_gets:
+            for unit in sorted([get(coords) for get in pair_gets]):
+                values += unit
+        return place(values)
+
+    return canonical
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,11 +356,15 @@ class Evaluator:
         spec: SurfaceSpec,
         store: Optional[Store] = None,
         debug_rational: bool = False,
+        canonicalize: bool = True,
     ):
         self.spec = spec
         self.hits = 0
         self.misses = 0
         self.debug_rational = debug_rational
+        # memo keys are orbit representatives; off, the memo is keyed by raw
+        # classes (the oracle the relabelling checks need)
+        self._canon = _orbit_map(spec) if canonicalize else None
         menu = spec.pair_menu
         subsets = []
         zero = DivisorClass((0,) * spec.lattice.rank)
@@ -300,11 +375,25 @@ class Evaluator:
             for i in idxs:
                 total = total + menu[i].class_sum
                 weight *= menu[i].weight
-            subsets.append((tuple(menu[i].item_id for i in idxs), total, weight))
+            subsets.append((
+                tuple(menu[i].item_id for i in idxs), total.coords,
+                spec.e_degree(total), spec.antik_degree(total), weight,
+            ))
         self._full = _Route({}, math.inf, tuple(subsets), False)
         # The reduced route of the twisted cubic; subsets[0] is the empty one.
         self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
+        # The split sum's targets D - E + c (K + E), on coordinates; their -K
+        # degree moves by _ke_antik per unit of c.
+        ke = spec.k_plus_e()
+        self._ke_coords = ke.coords
+        self._ke_antik = spec.antik_degree(ke)
+        # E.x as a dot product with these coefficients, the E-degrees of the
+        # basis classes (the Gram matrix times E)
+        self._e_form = tuple(
+            sum(map(operator.mul, row, spec.e_class.coords))
+            for row in spec.lattice.gram
+        )
         # lines other than E: the rigid factors the reduced route admits
         self._line_coords = frozenset(
             line.coords for line in spec.lattice.lines if line != spec.e_class
@@ -406,7 +495,8 @@ class Evaluator:
         alpha: TangencyVector,
         beta: TangencyVector,
     ) -> int:
-        key = (d.coords, alpha.key(), beta.key())
+        canon = self._canon
+        key = (canon(d.coords) if canon else d.coords, alpha.key(), beta.key())
         counted = route is self._full  # cache_stats covers the full route only
         cached = route.memo.get(key)
         if cached is None and route.store:
@@ -440,12 +530,13 @@ class Evaluator:
         n: int,
     ) -> Iterator[TermRecord]:
         spec = self.spec
-        ke = spec.k_plus_e()
-        de = spec.e_degree(d)
-        budget = spec.antik_degree(d - spec.e_class)
-        blocks = (
-            self._local_blocks(route, budget, d - spec.e_class) if budget >= 1 else ()
-        )
+        # The targets T = D - E + c (K + E) - (pair classes), built on the
+        # coordinates with their two degrees; D - E is formed once.
+        ke, ke_antik, e_form = self._ke_coords, self._ke_antik, self._e_form
+        d_minus_e = tuple(map(operator.sub, d.coords, spec.e_class.coords))
+        te_base = spec.e_degree(d) + 1  # E.(D - E), as E.E = -1
+        budget = spec.antik_degree(d) - 1  # -K.(D - E), as -K.E = 1
+        blocks = self._local_blocks(route, budget, d_minus_e) if budget >= 1 else ()
         n1 = n - 1
         for alpha0 in enumerate_le(alpha):
             ia0 = iweight(alpha0)
@@ -460,20 +551,21 @@ class Evaluator:
                 l = 0
                 while l <= route.l_max:
                     c = 2 * l + ia0 + ib0
-                    te = de + 1 - 2 * c
+                    te = te_base - 2 * c  # E.(K + E) = -2
                     if te < 0:
                         break
-                    t_class = d - spec.e_class + ke * c
-                    if spec.e_degree(t_class) != te:
+                    t = tuple([x + c * y for x, y in zip(d_minus_e, ke)])
+                    if sum(map(operator.mul, t, e_form)) != te:
                         raise InternalCheckError("degree bookkeeping failed on T")
-                    for pair_ids, pair_total, pair_weight in route.pair_subsets:
-                        t2 = t_class - pair_total
+                    ak = budget + c * ke_antik
+                    for pair_ids, p_coords, p_te, p_ak, p_weight in route.pair_subsets:
                         for chosen in self._factor_multisets(
-                            route, t2, alpha_budget, bm_target, ns_target, blocks
+                            route, tuple(map(operator.sub, t, p_coords)), te - p_te,
+                            ak - p_ak, alpha_budget, bm_target, ns_target, blocks,
                         ):
                             yield self._make_term(
                                 route, n1, l, alpha, alpha0, beta0, nb0, chosen,
-                                pair_ids, pair_weight,
+                                pair_ids, p_weight,
                             )
                     l += 1
 
@@ -581,6 +673,7 @@ class Evaluator:
         base = spec.antik_degree(cls) - e_deg - 1  # n_i = base + |beta|
         coords = cls.coords
         line = coords in self._line_coords
+        key_coords = self._canon(coords) if self._canon else coords
         opts: List[_Option] = []
         for av, ia, bv, nb, gammas, a_key, b_key, simple in _option_template(e_deg):
             n_i = base + nb
@@ -591,13 +684,13 @@ class Evaluator:
             opts.append(
                 _Option(
                     cls, av, ia, bv, n_i, rigid=(n_i == 0 and not ia), gammas=gammas,
-                    memo_key=(coords, a_key, b_key),
+                    memo_key=(key_coords, a_key, b_key),
                 )
             )
         return tuple(opts)
 
     def _local_blocks(
-        self, route: _Route, budget: int, t_max: DivisorClass
+        self, route: _Route, budget: int, tc: Tuple[int, ...]
     ) -> Tuple[_Block, ...]:
         """Blocks that can fit under the largest target of one evaluation.
 
@@ -612,7 +705,6 @@ class Evaluator:
         does not fit the c = 0 target never fits any remainder.
         """
         cubic = self.spec.lattice.model == "cubic"
-        tc = t_max.coords
         kept = []
         for b in self._table(route, budget):
             if b.antik > budget:
@@ -634,7 +726,9 @@ class Evaluator:
     def _factor_multisets(
         self,
         route: _Route,
-        t_class: DivisorClass,
+        t_root: Tuple[int, ...],
+        te0: int,
+        ak0: int,
         alpha_budget: TangencyVector,
         bm_target: TangencyVector,
         ns_target: int,
@@ -642,23 +736,21 @@ class Evaluator:
     ) -> Iterator[Tuple[Tuple[_Option, TangencyVector, TangencyVector, int], ...]]:
         """Unordered factor collections matching all budgets exactly.
 
-        Yields tuples of (option, gamma, beta_minus_gamma, binom weight) in
-        non-decreasing canonical order; each unordered collection once.
+        The target is given by its coordinates t_root, its E-degree te0 and
+        its -K degree ak0.  Yields tuples of (option, gamma,
+        beta_minus_gamma, binom weight) in non-decreasing canonical order;
+        each unordered collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
         each; the blocks of the reduced route further restrict them to real
         lines other than E carrying a single simple moving branch.
         """
-        spec = self.spec
-        t_root = t_class.coords
         if not self._feasible(t_root):
             return
-        te0 = spec.e_degree(t_class)
-        ak0 = spec.antik_degree(t_class)
         zero_t = self._zero_coords
         if t_root != zero_t and (te0 < 1 or ak0 < 1):
             return
         ibm0 = iweight(bm_target)
-        cubic = spec.lattice.model == "cubic"
+        cubic = self.spec.lattice.model == "cubic"
         n_blocks = len(blocks)
         memo = route.memo
         value_of = self._value

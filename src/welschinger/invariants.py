@@ -84,6 +84,12 @@ def relabel_canonical(spec: SurfaceSpec, d: DivisorClass) -> DivisorClass:
     multiplicities within each reality block.  Scans use this to evaluate
     one representative per orbit; the relabeling invariance itself is
     checked independently (on raw classes) by the symmetry suite.
+
+    This is a wider symmetry than the evaluator's memo keys use: it moves
+    E1 and E2, which support E, among the other real points, so it holds
+    for the invariant but not for a recursion state.  The representative
+    puts the largest multiplicities on E1 and E2, the member of least
+    E-degree and so the cheapest to evaluate.
     """
     if spec.model != "P2" or spec.blown_down:
         return d
@@ -285,17 +291,18 @@ def symmetry_scan(
     antik_bound: int,
     n_classes: int = 5,
     n_perms: int = 10,
-    evaluator: Optional[Evaluator] = None,
 ) -> List[Tuple[DivisorClass, DivisorClass, int, int, bool]]:
     """Invariance under random relabelings of the six real points.
 
-    Both sides are evaluated directly (no canonicalization), so this is a
+    Both sides are evaluated on a fresh evaluator whose memo is keyed by
+    raw classes, reading no store: where sigma fixes E, a memo keyed by
+    relabelling orbit would read W(sigma D) back from W(D).  So this is a
     genuine consistency check of the recursion, which does single out the
     two points supporting E.
     """
     if spec.model != "P2" or spec.n_real != 6 or spec.blown_down:
         raise ValidationError("the symmetry scan runs on the all-real model")
-    ev = evaluator or Evaluator(spec)
+    ev = Evaluator(spec, canonicalize=False)
     rng = Random(DEFAULT_SEED)
     classes = [d for d in spec.nef_big_classes(antik_bound)]
     rng.shuffle(classes)

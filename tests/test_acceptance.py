@@ -166,8 +166,8 @@ def test_criterion_6_monotonicity():
 
 
 def test_criterion_7_symmetry_and_blowdown():
-    spec, ev = get_evaluator("P2", 6, 0)
-    sym = symmetry_scan(spec, 6, n_classes=5, n_perms=10, evaluator=ev)
+    spec = make_surface("P2", 6, 0)
+    sym = symmetry_scan(spec, 6, n_classes=5, n_perms=10)
     sym_bad = [r for r in sym if not r[4]]
     blow = blowdown_scan(6)
     blow_bad = [r for r in blow if not r[3]]

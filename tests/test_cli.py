@@ -341,6 +341,16 @@ def test_epath_scan_neither_reads_nor_writes_store(capsys, tmp_path):
     assert path.read_bytes() == b"not a store\n"
 
 
+def test_symmetry_scan_neither_reads_nor_writes_store(capsys, tmp_path):
+    path = tmp_path / "garbage.txt"
+    path.write_bytes(b"not a store\n")
+    code, out, _ = run(capsys, "scan", "--surface", "P2[6,0]", "--mode",
+                       "symmetry", "--bound", "4", "--cache", str(path))
+    assert code == 0
+    assert out.count("ok") == 50
+    assert path.read_bytes() == b"not a store\n"
+
+
 def test_monotonicity_scan_below_smallest_bound(capsys):
     code, out, err = run(capsys, "scan", "--surface", "P2[6,0]", "--mode",
                          "monotonicity", "--bound", "4", "--no-cache")

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 import sys
 import threading
@@ -12,9 +14,10 @@ from welschinger.engine import (
     cache_save,
     make_key,
 )
+from welschinger import cli
 from welschinger.errors import CacheError, ValidationError
-from welschinger.invariants import welschinger
-from welschinger.picard import candidate_factors
+from welschinger.invariants import top_key, welschinger
+from welschinger.picard import DivisorClass, candidate_factors, nef_classes_up_to
 from welschinger.surfaces import make_surface
 from welschinger.tangency import TangencyVector, iweight, norm, odd_partitions, theta
 
@@ -198,12 +201,45 @@ def test_eval_independent_of_enumeration_order():
     assert shuffled.eval(key_of(spec_f, "-2K")) == want_f
 
 
+def _relabellings(spec, coords):
+    """Every image of a class's coordinates under the relabellings that fix
+    E = L - E1 - E2, written out one permutation at a time: E1 <-> E2 when
+    both are real, any permutation of the real E_i with i >= 3, and of the
+    conjugate pairs (E_i, E_i+1) with i >= 3, blown-down slots left alone.
+    The cubic has none."""
+    if spec.lattice.model == "cubic":
+        return {coords}
+    free = [i for i in range(3, 7) if i not in spec.blown_down]
+    reals = [i for i in free if i <= spec.n_real]
+    pairs = [(i, i + 1) for i in free if i > spec.n_real and (i - spec.n_real) % 2]
+    heads = [(1, 2), (2, 1)] if spec.n_real >= 2 else [(1, 2)]
+    images = set()
+    for head in heads:
+        for real_perm in itertools.permutations(reals):
+            for pair_perm in itertools.permutations(pairs):
+                out = list(coords)
+                out[1], out[2] = coords[head[0]], coords[head[1]]
+                for i, j in zip(reals, real_perm):
+                    out[i] = coords[j]
+                for (i, i2), (j, j2) in zip(pairs, pair_perm):
+                    out[i], out[i2] = coords[j], coords[j2]
+                images.add(tuple(out))
+    return images
+
+
+def _orbit_representative(spec, coords):
+    """The least member of the relabelling orbit, in tuple order."""
+    return min(_relabellings(spec, coords))
+
+
 def _per_class_options(spec, cls, rigid_lines_only):
     """Reference for Evaluator._options: the per-class loop it replaced,
     recomputing the odd partitions, r_dim_class, the real-line rule and the
-    gammas for this one class."""
+    gammas for this one class; the memo key holds the class's orbit
+    representative."""
     e_deg = spec.e_degree(cls)
     real_line = cls in spec.lattice.lines and cls != spec.e_class
+    rep = _orbit_representative(spec, cls.coords)
     opts = []
     for ia in range(e_deg):
         for av in odd_partitions(ia):
@@ -223,7 +259,7 @@ def _per_class_options(spec, cls, rigid_lines_only):
                     engine._Option(
                         cls, av, iweight(av), bv, n_i,
                         rigid=(n_i == 0 and not av), gammas=gammas,
-                        memo_key=(cls.coords, av.key(), bv.key()),
+                        memo_key=(rep, av.key(), bv.key()),
                     )
                 )
     opts.sort(key=lambda o: (o.alpha.key(), o.beta.key()))
@@ -253,17 +289,20 @@ def test_options_match_per_class_loop(model, a, b, twist):
 class _LinearScanEvaluator(Evaluator):
     """Evaluator whose factor search subtracts every block from the
     remainder and then tests the difference with _feasible: the scan the
-    inline fit test of Evaluator._factor_multisets replaced."""
+    inline fit test of Evaluator._factor_multisets replaced.  It takes the
+    target's degrees from the lattice, and checks the ones it is handed."""
 
     def _factor_multisets(
-        self, route, t_class, alpha_budget, bm_target, ns_target, blocks
+        self, route, t0, te_given, ak_given, alpha_budget, bm_target, ns_target,
+        blocks,
     ):
         spec = self.spec
-        t0 = t_class.coords
-        if not self._feasible(t0):
-            return
+        t_class = DivisorClass(t0)
         te0 = spec.e_degree(t_class)
         ak0 = spec.antik_degree(t_class)
+        assert (te_given, ak_given) == (te0, ak0), t0
+        if not self._feasible(t0):
+            return
         ibm0 = iweight(bm_target)
         zero_t = self._zero_coords
         feasible = self._feasible
@@ -632,3 +671,91 @@ def test_rational_class_values_are_one(shared):
         de = spec.e_degree(d)
         assert ev.eval(make_key(spec, d, ZERO, theta(1, de) if de else ZERO)) == 1
     assert checked > 10
+
+
+# -- orbit-canonical memo keys -----------------------------------------------------
+
+_P2_PATTERNS = [
+    (a, b) for b in range(4) for a in range(7 - 2 * b) if a != 1 and (a, b) != (0, 0)
+]
+
+
+@pytest.mark.parametrize(
+    "model, a, b, twist, blowdown",
+    [("P2", a, b, "0", ()) for a, b in _P2_PATTERNS]
+    + [("P2", 6, 0, "0", (3, 4)), ("P2", 4, 1, "0", (3,)),
+       ("B1", 0, 0, "F", ()), ("B", 0, 0, "F", ())],
+)
+def test_orbit_map_properties(model, a, b, twist, blowdown):
+    spec = make_surface(model, a, b, twist=twist, blowdown=blowdown)
+    canon = Evaluator(spec)._canon
+    if spec.lattice.model == "cubic":
+        assert canon is None
+        return
+    assert Evaluator(spec, canonicalize=False)._canon is None
+    # Classes of the whole lattice, also those crossing a blown-down curve,
+    # so that the blown-down slots hold values the map could move.
+    classes = set(nef_classes_up_to(spec.lattice, spec.conj_perm, 5))
+    classes |= set(candidate_factors(spec.lattice, spec.conj_perm, spec.e_class, 5))
+    seen = {}
+    for d in sorted(classes):
+        image = canon(d.coords) if canon else d.coords
+        orbit = _relabellings(spec, d.coords)
+        assert image == min(orbit), d  # one written-out representative
+        assert (canon(image) if canon else image) == image  # idempotent
+        for member in orbit:  # one image per orbit
+            assert (canon(member) if canon else member) == image, (d, member)
+        assert seen.setdefault(image, frozenset(orbit)) == frozenset(orbit)
+        rep = DivisorClass(image)
+        assert spec.antik_degree(rep) == spec.antik_degree(d)
+        assert spec.e_degree(rep) == spec.e_degree(d)
+        assert spec.is_nef_big(rep) == spec.is_nef_big(d)
+        assert all(image[i] == d.coords[i] for i in spec.blown_down)
+    assert any(len(orbit) > 1 for orbit in seen.values()) == (canon is not None)
+
+
+@pytest.mark.parametrize(
+    "a, b, blowdown", [(6, 0, ()), (4, 1, ()), (2, 2, ()), (0, 3, ()), (6, 0, (3, 4))]
+)
+def test_canonical_memo_matches_raw_memo(a, b, blowdown):
+    # Every state the raw-keyed evaluator visits, internal ones included,
+    # has its value under its orbit representative in the canonical memo;
+    # and every canonical key is one of those representatives, itself a
+    # state of the surface.
+    spec = make_surface("P2", a, b, blowdown=blowdown)
+    raw = Evaluator(spec, canonicalize=False)
+    canonical = Evaluator(spec)
+    keys = [top_key(spec, d) for d in spec.nef_big_classes(5)]
+    assert [raw.eval(k) for k in keys] == [canonical.eval(k) for k in keys]
+    canon = canonical._canon
+    raw_memo, canon_memo = raw._full.memo, canonical._full.memo
+    for (coords, a_key, b_key), value in raw_memo.items():
+        assert canon_memo[(canon(coords), a_key, b_key)] == value, coords
+    assert set(canon_memo) == {(canon(c), ak, bk) for c, ak, bk in raw_memo}
+    assert set(canon_memo) <= set(raw_memo)
+    assert len(canon_memo) < len(raw_memo)
+
+
+def test_raw_keyed_store_gives_the_same_values(capsys, tmp_path):
+    # A store written with raw keys, as before the memo was keyed by orbit,
+    # stays valid: representative records are read, the others never are.
+    spec = make_surface("P2", 6, 0)
+    raw = Evaluator(spec, canonicalize=False)
+    members = ("4;1,2,1,0,1,1", "4;2,1,0,1,1,1")  # neither is a representative
+    want = [welschinger(spec, spec.parse_class(t), raw) for t in members + ("-2K",)]
+    store = raw.dump()
+    for text in members:
+        top = f"{spec.surface_id}|{text}|0|1:1"
+        assert store[top] == want[0]
+        store[top] = -1
+    path = tmp_path / "raw.txt"
+    cache_save(store, str(path))
+    got = []
+    for text in members + ("-2K",):
+        code = cli.main(["compute", "--surface", "P2[6,0]", "--class", text,
+                         "--cache", str(path), "--json", "--no-timing"])
+        assert code == 0
+        got.append(json.loads(capsys.readouterr().out))
+    assert [int(g["value"]) for g in got] == want
+    # -2K is its own representative: its stored record serves it
+    assert (got[2]["cache"]["hits"], got[2]["cache"]["misses"]) == (1, 0)

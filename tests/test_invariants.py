@@ -141,8 +141,8 @@ def test_relabel_canonical_properties(shared):
 
 
 def test_symmetry_scan(shared):
-    spec, ev = shared("P2", 6, 0)
-    rows = symmetry_scan(spec, 5, n_classes=2, n_perms=4, evaluator=ev)
+    spec, _ = shared("P2", 6, 0)
+    rows = symmetry_scan(spec, 5, n_classes=2, n_perms=4)
     assert rows and all(ok for *_, ok in rows)
 
 
