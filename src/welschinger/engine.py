@@ -26,7 +26,13 @@ signed count at n > 0 through states of smaller n:
   identities are enforced, not assumed: any violation raises.
 
 All arithmetic is exact (Python integers); the only divisions are inside
-integer multinomials.
+integer multinomials and by the stabilizer of repeated factors, checked to
+leave no remainder.
+
+One generator, Evaluator._summands, is the only encoding of a recursion
+step: it yields each summand as a plain tuple with its integer
+contribution.  eval sums the contributions; only expand, which the trace
+prints, turns the same summands into TermRecord/FactorRecord objects.
 
 Values are memoized per relabelling orbit.  A state's value does not change
 under the relabellings that fix E = L - E1 - E2: swapping E1 and E2 when
@@ -84,7 +90,6 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import CacheError, InternalCheckError, ValidationError
@@ -102,6 +107,14 @@ from .tangency import (
 )
 
 Store = Dict[str, int]
+
+# One summand of a recursion step, as _summands yields it: (kind, k, l,
+# alpha0, beta0, chosen factors, pair ids, coefficient, contribution).  The
+# chosen factors are (option, gamma, beta - gamma, binomial weight) tuples.
+Summand = Tuple[
+    str, Optional[int], int, TangencyVector, TangencyVector, tuple,
+    Tuple[str, ...], int, int,
+]
 
 CACHE_HEADER = "WELSCHINGER-CACHE v1"
 
@@ -355,13 +368,11 @@ class Evaluator:
         self,
         spec: SurfaceSpec,
         store: Optional[Store] = None,
-        debug_rational: bool = False,
         canonicalize: bool = True,
     ):
         self.spec = spec
         self.hits = 0
         self.misses = 0
-        self.debug_rational = debug_rational
         # memo keys are orbit representatives; off, the memo is keyed by raw
         # classes (the oracle the relabelling checks need)
         self._canon = _orbit_map(spec) if canonicalize else None
@@ -411,28 +422,28 @@ class Evaluator:
         return self._value(self._full, key.d, key.alpha, key.beta)
 
     def expand(self, key: EvalKey) -> List[TermRecord]:
-        """The exact top-level summands whose contributions total eval(key)."""
+        """The exact top-level summands whose contributions total eval(key):
+        the initial or first-sum records in recursion order, then the split
+        records sorted."""
         if key.surface_id != self.spec.surface_id:
             raise ValidationError("trace key does not match the evaluator surface")
-        d, alpha, beta = key.d, key.alpha, key.beta
-        n = self.spec.r_dim_class(d, norm(beta))
-        if n < 0:
-            return []
-        if n == 0:
-            # Dimension-zero keys resolve to a single table lookup; emitted
-            # so the trace totals always reproduce eval(key).
-            weight = self.spec.initial_weight(d, alpha, beta)
-            return [TermRecord("initial", None, 0, alpha, beta, (), (), 1, weight)]
+        route = self._full
         records: List[TermRecord] = []
-        for k, _ in beta:
-            child = self._value(self._full, d, alpha + theta(k), beta - theta(k))
-            records.append(
-                TermRecord(
-                    "first_sum", k, 0, TangencyVector.zero(), TangencyVector.zero(),
-                    (), (), 1, child,
+        split: List[TermRecord] = []
+        for kind, k, l, alpha0, beta0, chosen, pair_ids, coeff, contribution in (
+            self._summands(route, key.d, key.alpha, key.beta)
+        ):
+            factors = tuple(
+                FactorRecord(
+                    opt.cls, opt.alpha, opt.beta, gamma, opt.n_i,
+                    self._value(route, opt.cls, opt.alpha, opt.beta),
                 )
+                for opt, gamma, _, _ in chosen
             )
-        split = list(self._split_terms(self._full, d, alpha, beta, n))
+            record = TermRecord(
+                kind, k, l, alpha0, beta0, factors, pair_ids, coeff, contribution
+            )
+            (split if kind == "split" else records).append(record)
         split.sort(
             key=lambda t: (
                 t.l,
@@ -445,8 +456,7 @@ class Evaluator:
                 ),
             )
         )
-        records.extend(split)
-        return records
+        return records + split
 
     def eval_cubic_fast(self, key: EvalKey) -> int:
         """Reduced recursion on the two-component cubic, component twist only."""
@@ -507,19 +517,35 @@ class Evaluator:
             self.hits += counted
             return cached
         self.misses += counted
-        n = self.spec.r_dim_class(d, norm(beta))
-        if n < 0:
-            value = 0
-        elif n == 0:
-            value = self.spec.initial_weight(d, alpha, beta)
-        else:
-            value = 0
-            for k, _ in beta:
-                value += self._value(route, d, alpha + theta(k), beta - theta(k))
-            for term in self._split_terms(route, d, alpha, beta, n):
-                value += term.contribution
+        value = 0
+        for summand in self._summands(route, d, alpha, beta):
+            value += summand[-1]
         route.memo[key] = value
         return value
+
+    def _summands(
+        self,
+        route: _Route,
+        d: DivisorClass,
+        alpha: TangencyVector,
+        beta: TangencyVector,
+    ) -> Iterator[Summand]:
+        """One recursion step at (d, alpha, beta): its summands, whose
+        contributions total the state's value.  None below dimension 0; at
+        dimension 0 the one initial summand, a table lookup; above it the
+        first sum in beta order, then the split sum."""
+        n = self.spec.r_dim_class(d, norm(beta))
+        if n < 0:
+            return
+        if n == 0:
+            weight = self.spec.initial_weight(d, alpha, beta)
+            yield ("initial", None, 0, alpha, beta, (), (), 1, weight)
+            return
+        zero = TangencyVector.zero()
+        for k, _ in beta:
+            child = self._value(route, d, alpha + theta(k), beta - theta(k))
+            yield ("first_sum", k, 0, zero, zero, (), (), 1, child)
+        yield from self._split_terms(route, d, alpha, beta, n)
 
     def _split_terms(
         self,
@@ -528,7 +554,7 @@ class Evaluator:
         alpha: TangencyVector,
         beta: TangencyVector,
         n: int,
-    ) -> Iterator[TermRecord]:
+    ) -> Iterator[Summand]:
         spec = self.spec
         # The targets T = D - E + c (K + E) - (pair classes), built on the
         # coordinates with their two degrees; D - E is formed once.
@@ -581,13 +607,12 @@ class Evaluator:
         chosen: Tuple[Tuple[_Option, TangencyVector, TangencyVector, int], ...],
         pair_ids: Tuple[str, ...],
         pair_weight: int,
-    ) -> TermRecord:
-        l_weight = l + 1
+    ) -> Summand:
         n_parts = [opt.n_i for opt, _, _, _ in chosen]
         coeff = (1 << nb0) * _multinomial_exact(
             n1, n_parts + [cnt for _, cnt in beta0], "sum n_i = n-1-|beta0|"
         )
-        coeff *= l_weight
+        coeff *= l + 1  # the weight of l pencil components
         coeff *= multinomial(alpha, [alpha0] + [opt.alpha for opt, _, _, _ in chosen])
         # The sum runs over unordered collections: slot permutations of
         # repeated identical decorated factors describe the same splitting,
@@ -600,38 +625,11 @@ class Evaluator:
                 raise InternalCheckError(
                     "symmetrized coefficient is not an integer"
                 )
-        factors = []
         value = coeff * pair_weight
-        for opt, gamma, _, bweight in chosen:
-            coeff *= bweight
-            fval = self._value(route, opt.cls, opt.alpha, opt.beta)
-            value *= bweight * fval
-            factors.append(
-                FactorRecord(opt.cls, opt.alpha, opt.beta, gamma, opt.n_i, fval)
-            )
-        if self.debug_rational:
-            self._crosscheck_coefficient(
-                n1, l_weight, alpha, alpha0, beta0, chosen, coeff
-            )
-        return TermRecord(
-            "split", None, l, alpha0, beta0, tuple(factors), pair_ids, coeff, value
-        )
-
-    def _crosscheck_coefficient(self, n1, l_weight, alpha, alpha0, beta0, chosen, coeff):
-        frac = Fraction(1 << norm(beta0), 1)
-        for _, cnt in beta0:
-            frac /= math.factorial(cnt)
-        frac *= l_weight
-        frac *= multinomial(alpha, [alpha0] + [opt.alpha for opt, _, _, _ in chosen])
-        frac *= math.factorial(n1)
         for opt, _, _, bweight in chosen:
-            frac /= math.factorial(opt.n_i)
-            frac *= bweight
-        frac /= _symmetry_factor(chosen)
-        if frac.denominator != 1 or frac != coeff:
-            raise InternalCheckError(
-                f"rational cross-check failed: {frac} vs integer {coeff}"
-            )
+            coeff *= bweight
+            value *= bweight * self._value(route, opt.cls, opt.alpha, opt.beta)
+        return ("split", None, l, alpha0, beta0, chosen, pair_ids, coeff, value)
 
     # -- factor enumeration ----------------------------------------------------------
 

@@ -62,7 +62,6 @@ class PairItem:
     beta_im: TangencyVector
     weight: int
     members: Optional[Tuple[DivisorClass, DivisorClass]] = None
-    r_value: int = 0
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,6 @@ class SurfaceSpec:
 
     def intersect(self, x: DivisorClass, y: DivisorClass) -> int:
         return self.lattice.intersect(x, y)
-
-    def canonical(self) -> DivisorClass:
-        return self.lattice.canonical
 
     def k_plus_e(self) -> DivisorClass:
         return self.lattice.canonical + self.e_class
@@ -499,7 +495,7 @@ def _check_menu(spec: SurfaceSpec) -> None:
         if spec.e_degree(item.class_sum) < 1:
             raise ValidationError(f"menu item {item.item_id} misses E")
         beta_norm = 2 * sum(c for _, c in item.beta_im)
-        if spec.r_dim_pair(item.class_sum, beta_norm) != item.r_value:
+        if spec.r_dim_pair(item.class_sum, beta_norm) != 0:
             raise ValidationError(f"menu item {item.item_id} has wrong dimension")
         if not spec.is_real_class(item.class_sum):
             raise ValidationError(f"menu item {item.item_id} is not conj-invariant")

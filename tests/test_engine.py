@@ -1,8 +1,12 @@
+import collections
+import functools
 import itertools
 import json
+import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -133,26 +137,100 @@ def test_key_validation():
     with pytest.raises(ValidationError):
         make_key(spec, e5, ZERO, theta(1))  # not conjugation-invariant
     with pytest.raises(ValidationError):
-        make_key(spec, -spec.canonical(), ZERO, theta(2))  # even support
+        make_key(spec, -spec.lattice.canonical, ZERO, theta(2))  # even support
     with pytest.raises(ValidationError):
-        make_key(spec, -spec.canonical(), ZERO, theta(1, 2))  # degree mismatch
+        make_key(spec, -spec.lattice.canonical, ZERO, theta(1, 2))  # degree mismatch
     conic = make_surface("B", twist="F")
     l1 = conic.parse_class("1,0,0")
     with pytest.raises(ValidationError):
         make_key(conic, l1, ZERO, theta(1))  # crosses the contracted line
 
 
-def test_debug_rational_mode_agrees():
-    spec = make_surface("B1", twist="F")
-    plain = Evaluator(spec)
-    checked = Evaluator(spec, debug_rational=True)
-    for text in ("-K", "-2K"):
-        assert checked.eval(key_of(spec, text)) == plain.eval(key_of(spec, text))
-    spec22 = make_surface("P2", 2, 2)
-    assert (
-        Evaluator(spec22, debug_rational=True).eval(key_of(spec22, "-2K"))
-        == Evaluator(spec22).eval(key_of(spec22, "-2K"))
+def _vector_factorial(v):
+    return math.prod(math.factorial(c) for _, c in v)
+
+
+def _coefficient_from_record(spec, d, alpha, beta, record):
+    """A split record's coefficient, recomputed in Fractions from the record
+    and its state alone, and its stabilizer:
+
+        2^|beta0| (n-1)! / (prod n_i! beta0!) * (l + 1)
+        * alpha! / (alpha0! prod alpha_i! (alpha - alpha0 - sum alpha_i)!)
+        * prod (beta_i)_{j_i} / |Stab|,
+
+    gamma_i = theta_{j_i}, and |Stab| the product of m! over the
+    multiplicities m of equal (class, alpha_i, beta_i, gamma_i) factors."""
+    n = spec.r_dim_class(d, norm(beta))
+    frac = Fraction(2 ** norm(record.beta0) * math.factorial(n - 1))
+    frac /= _vector_factorial(record.beta0)
+    frac *= record.l + 1
+    rest = alpha - record.alpha0
+    frac *= Fraction(_vector_factorial(alpha), _vector_factorial(record.alpha0))
+    for f in record.factors:
+        n_i = spec.r_dim_class(f.d, norm(f.beta))
+        assert f.n_i == n_i
+        (j,) = f.gamma.support()
+        frac *= Fraction(f.beta[j], math.factorial(n_i) * _vector_factorial(f.alpha))
+        rest -= f.alpha
+    frac /= _vector_factorial(rest)
+    repeats = collections.Counter(
+        (f.d.coords, f.alpha.key(), f.beta.key(), f.gamma.key())
+        for f in record.factors
     )
+    stabilizer = math.prod(math.factorial(m) for m in repeats.values())
+    return frac / stabilizer, stabilizer
+
+
+@pytest.mark.parametrize(
+    "surface, text",
+    [(("B1", 0, 0, "F"), "-3K"), (("P2", 4, 1, "0"), "3;1,1,0,2,0,0"),
+     (("P2", 6, 0, "0"), "5;1,3,2,2,2,0")],
+    ids=["B1-F", "P2-4-1", "P2-6-0"],
+)
+def test_split_coefficients_recomputed_from_records(surface, text):
+    model, a, b, twist = surface
+    spec = make_surface(model, a, b, twist=twist)
+    ev = Evaluator(spec)
+    ev.eval(top_key(spec, spec.parse_class(text)))
+    pair_weight = {item.item_id: item.weight for item in spec.pair_menu}
+    largest_stabilizer = 1
+    for coords, a_key, b_key in list(ev._full.memo):
+        d, alpha, beta = DivisorClass(coords), TangencyVector(a_key), TangencyVector(b_key)
+        key = make_key(spec, d, alpha, beta)
+        records = ev.expand(key)
+        assert sum(r.contribution for r in records) == ev.eval(key)
+        for record in records:
+            if record.kind != "split":
+                continue
+            coeff, stabilizer = _coefficient_from_record(spec, d, alpha, beta, record)
+            assert coeff == record.coefficient, (key, record)
+            largest_stabilizer = max(largest_stabilizer, stabilizer)
+            contribution = record.coefficient
+            for item_id in record.pair_ids:
+                contribution *= pair_weight[item_id]
+            for f in record.factors:
+                contribution *= f.value
+            assert contribution == record.contribution
+    assert largest_stabilizer > 1  # a repeated factor was met
+
+
+def test_eval_builds_no_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a trace record")
+
+    cases = [
+        (make_surface("B1", twist="F"), "-3K"),
+        (make_surface("P2", 6, 0), "5;1,3,2,2,2,0"),
+    ]
+    keys = [top_key(spec, spec.parse_class(text)) for spec, text in cases]
+    monkeypatch.setattr(engine, "TermRecord", refuse)
+    monkeypatch.setattr(engine, "FactorRecord", refuse)
+    values = [Evaluator(spec).eval(key) for (spec, _), key in zip(cases, keys)]
+    monkeypatch.undo()
+    for (spec, _), key, value in zip(cases, keys, values):
+        records = Evaluator(spec).expand(key)
+        assert records and all(isinstance(r, engine.TermRecord) for r in records)
+        assert sum(r.contribution for r in records) == value
 
 
 class _ShuffledEvaluator(Evaluator):
@@ -286,9 +364,20 @@ def test_options_match_per_class_loop(model, a, b, twist):
             assert ev._options(cls, rigid_lines_only) == want, (cls, rigid_lines_only)
 
 
+def _splittable(spec, t):
+    """Necessary conditions for the raw coordinates t to be a sum of
+    candidate factors, written out apart from the engine: on the cubic every
+    candidate has non-negative coordinates; on rank 7 a candidate has
+    degree >= 0 and E_i coefficients <= 0, except the exceptional curves
+    E_1 and E_2 themselves, each at most once."""
+    if spec.lattice.model == "cubic":
+        return min(t) >= 0
+    return t[0] >= 0 and t[1] <= 1 and t[2] <= 1 and max(t[3:]) <= 0
+
+
 class _LinearScanEvaluator(Evaluator):
     """Evaluator whose factor search subtracts every block from the
-    remainder and then tests the difference with _feasible: the scan the
+    remainder and then tests the difference with _splittable: the scan the
     inline fit test of Evaluator._factor_multisets replaced.  It takes the
     target's degrees from the lattice, and checks the ones it is handed."""
 
@@ -301,11 +390,11 @@ class _LinearScanEvaluator(Evaluator):
         te0 = spec.e_degree(t_class)
         ak0 = spec.antik_degree(t_class)
         assert (te_given, ak_given) == (te0, ak0), t0
-        if not self._feasible(t0):
+        if not _splittable(spec, t0):
             return
         ibm0 = iweight(bm_target)
         zero_t = self._zero_coords
-        feasible = self._feasible
+        feasible = functools.partial(_splittable, spec)
         n_blocks = len(blocks)
 
         def dfs(b0, o0, g0, repick, t_rem, te_rem, ak_rem, a_rem, bm_rem,
@@ -661,7 +750,7 @@ def test_rational_class_values_are_one(shared):
     # linear system all of whose irreducible members are smooth rational, so
     # the point conditions cut out exactly one curve, counted with sign +1.
     spec, ev = shared("P2", 6, 0)
-    k_cls = spec.canonical()
+    k_cls = spec.lattice.canonical
     checked = 0
     for d in spec.nef_big_classes(6):
         pa = 1 + (spec.intersect(d, d) + spec.intersect(k_cls, d)) // 2

@@ -98,7 +98,6 @@ def test_cubic_menus_and_weight_sums():
         for item in s.pair_menu:
             assert item.class_sum == s.minus_k_plus_e()
             assert item.beta_im == theta(1)
-            assert item.r_value == 0
 
 
 def test_conic_menu_survives_filter():
@@ -166,7 +165,7 @@ def test_initial_weight_preconditions():
     with pytest.raises(ValidationError):
         s.initial_weight(e1, theta(1), theta(1))  # degree mismatch
     with pytest.raises(ValidationError):
-        s.initial_weight(-s.canonical(), ZERO, theta(1))  # dimension 2, not 0
+        s.initial_weight(-s.lattice.canonical, ZERO, theta(1))  # dimension 2, not 0
 
 
 def test_initial_weights_cubic():
