@@ -64,9 +64,15 @@ rather than a cache read-back.
 Each route also keeps one factor table: a block of decorated options for
 every candidate class, sorted by (-K degree, coords).  Candidacy depends
 only on the class and its degree, so the candidates under a smaller
-anticanonical budget are the table's prefix of degree <= budget.  The
-table is enumerated once, at the first budget asked for (the top key's),
-and a larger budget later appends only the blocks of the new degrees.
+anticanonical budget are the table's prefix of degree <= budget.  A state
+draws only on the candidates in the box of its c = 0 target D - E (see
+_local_blocks), and the boxes of the states below a key nest inside the
+key's own.  So the first table a route builds holds only the candidates
+in the box of the key that asked for it, at its budget: a cold evaluation
+enumerates once, and only what it can use.  A state outside that box or
+budget switches the table to the whole cone at the larger budget, reusing
+the blocks already built; a whole-cone table grows by the blocks of its
+new degrees, so a warm evaluator ends with the whole cone.
 A class's options depend on the class only through its E-degree and its
 dimensions n_i = (-K.D - E.D - 1) + |beta|, so each E-degree has one
 sorted template of tangency decorations (alpha, beta and the marked
@@ -234,9 +240,10 @@ class _Route:
     # E-degree, its -K degree, weight)
     pair_subsets: Tuple[Tuple[Tuple[str, ...], Tuple[int, ...], int, int, int], ...]
     rigid_lines_only: bool  # rigid factors must be real lines other than E
-    # (budget, blocks of every candidate of -K degree <= budget); only ever
-    # replaced whole, see Evaluator._table
-    table: Tuple[int, Tuple[_Block, ...]] = (0, ())
+    # (budget, box or None for the whole cone, blocks of every candidate of
+    # -K degree <= budget inside the box); only ever replaced whole, see
+    # Evaluator._table
+    table: Tuple[int, Optional[Tuple[int, ...]], Tuple[_Block, ...]] = (0, None, ())
     store: Optional[Store] = None  # read on a memo miss; full route only
 
 
@@ -358,10 +365,11 @@ class Evaluator:
     Thread-safety: the memos change only by idempotent dictionary inserts
     keyed by canonical value-determining keys, so concurrent use from
     several threads converges to identical contents.  A route's factor
-    table is never mutated in place: growing it builds a new tuple and
-    replaces the route's (budget, blocks) pair in one assignment, so a
-    reader holds either the old table or the new one, each complete for
-    its budget.
+    table is never mutated in place: switching it to the whole cone or
+    growing it builds a new tuple and replaces the route's (budget, box,
+    blocks) triple in one assignment, so a reader holds either the old
+    table or the new one, each complete for the budget and box it records,
+    and searches the one it was handed for its own request.
     """
 
     def __init__(
@@ -633,32 +641,50 @@ class Evaluator:
 
     # -- factor enumeration ----------------------------------------------------------
 
-    def _table(self, route: _Route, budget: int) -> Tuple[_Block, ...]:
-        """The route's factor table, grown to cover -K degree `budget`.
+    def _table(
+        self, route: _Route, budget: int, box: Optional[Tuple[int, ...]]
+    ) -> Tuple[_Block, ...]:
+        """The route's factor table, made to cover the candidates of -K
+        degree <= `budget` inside `box` (None: the whole cone; see
+        picard.in_box).
 
-        Blocks ascend in (-K degree, coords), so the search can stop at the
-        first block over its budget.  Growing appends the blocks of the
-        degrees above the old budget and replaces the table whole.
+        The first table a route builds holds the box of the key that asked
+        for it.  A request it does not cover switches the table to the whole
+        cone at the larger budget; the blocks already built are reused, not
+        stamped again, and the table is replaced whole.  Blocks ascend in
+        (-K degree, coords), so the search can stop at the first block over
+        its budget.
         """
-        built, blocks = route.table
-        if budget <= built:
+        built, built_box, blocks = route.table
+        if budget <= built and (
+            built_box is None
+            or box is not None and all(map(operator.le, box, built_box))
+        ):
             return blocks
+        if built:
+            budget, box = max(budget, built), None
         spec = self.spec
         mke = spec.minus_k_plus_e()
+        old = {b.coords: b for b in blocks}
         new = []
         for cls in candidate_factors(
             spec.lattice, spec.conj_perm, spec.e_class, budget,
-            blocked=spec.candidate_blocked(),
+            blocked=spec.candidate_blocked(), box=box,
         ):
-            antik = spec.antik_degree(cls)
-            if antik <= built or cls == mke:
-                continue
-            opts = self._options(cls, route.rigid_lines_only)
-            if opts:
-                new.append(_Block(cls, cls.coords, spec.e_degree(cls), antik, opts))
+            blk = old.get(cls.coords)
+            if blk is None:
+                antik = spec.antik_degree(cls)
+                # a whole-cone table dropped its classes of degree <= built
+                if cls == mke or built_box is None and antik <= built:
+                    continue
+                opts = self._options(cls, route.rigid_lines_only)
+                if not opts:
+                    continue
+                blk = _Block(cls, cls.coords, spec.e_degree(cls), antik, opts)
+            new.append(blk)
         new.sort(key=lambda b: (b.antik, b.coords))
-        blocks += tuple(new)
-        route.table = (budget, blocks)
+        blocks = tuple(new)
+        route.table = (budget, box, blocks)
         return blocks
 
     def _options(
@@ -692,19 +718,37 @@ class Evaluator:
     ) -> Tuple[_Block, ...]:
         """Blocks that can fit under the largest target of one evaluation.
 
-        The table's prefix of -K degree <= budget holds the candidates.  A
-        block b fits a target t when t - b passes _feasible: b_0 <= t_0,
-        b_i >= t_i - 1 for i = 1, 2 and b_i >= t_i for i >= 3 on rank 7
-        (degree at most d(T); multiplicities at most m_i(T), with one unit
-        of slack on the two slots whose exceptional curves are themselves
-        rigid, once-only candidates), b_i <= t_i on rank 3.  The factor
-        search makes the same test before each descent.  Remainder
-        coordinates only move toward the feasible box, so a class that
-        does not fit the c = 0 target never fits any remainder.
+        The candidates are those of -K degree <= budget inside the box of
+        the c = 0 target t = D - E: b_0 <= t_0, b_i >= t_i - 1 for i = 1, 2
+        and b_i >= t_i for i >= 3 on rank 7 (degree at most d(t);
+        multiplicities at most m_i(t), with one unit of slack on the two
+        slots whose exceptional curves are themselves rigid, once-only
+        candidates), b_i <= t_i on rank 3.
+
+        Every block of a complete collection lies in that box.  A collection
+        sums to T = t + c (K + E) - P with c >= 0 and P a pair subset's
+        class sum, so each block b is T minus the other blocks.  On rank 7
+        the other blocks have degree >= 0 and b_i <= 0 for i >= 3, K + E =
+        (-2, 0, 0, 1, 1, 1, 1), and every pair sum has P_0 >= 0 and P_i <= 0
+        for i >= 3: so b_0 <= T_0 <= t_0 and b_i >= T_i >= t_i.  On slot 1
+        (and alike 2) the other blocks add at most the +1 of the once-only
+        E_1, so b_1 >= T_1 - 1 = t_1 - P_1 - 1.  Every pair sum has P_1 <= 0
+        except E_1 + E_2, and where E_1 and E_2 are conjugate no candidate
+        has b_1 > 0, so there b_1 >= T_1 >= t_1 - 1.  On rank 3 every
+        candidate and pair sum is >= 0 and K + E <= 0, so b <= T <= t.
+
+        The boxes nest: a factor b from the box of D - E has its own box,
+        that of b - E, inside it, and a smaller budget; first-sum children
+        keep D.  So every state below a key finds its blocks in the key's
+        box, and a route's first table can hold that box alone.
         """
         cubic = self.spec.lattice.model == "cubic"
+        if cubic:
+            box = tc
+        else:  # caps on d; m_1, ..., m_6
+            box = (tc[0], 1 - tc[1], 1 - tc[2], -tc[3], -tc[4], -tc[5], -tc[6])
         kept = []
-        for b in self._table(route, budget):
+        for b in self._table(route, budget, box):
             if b.antik > budget:
                 break
             bc = b.coords

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationError
 
@@ -258,8 +258,10 @@ def nef_classes_up_to(
     lat: Lattice,
     conj_perm: Tuple[int, ...],
     max_antik: int,
+    box: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[DivisorClass, ...]:
-    """All conjugation-invariant nef classes with 1 <= -K.D <= max_antik.
+    """All conjugation-invariant nef classes with 1 <= -K.D <= max_antik,
+    inside `box` when one is given (see in_box).
 
     On the rank-7 model a nef class dL - sum m_i E_i satisfies
     0 <= m_i, m_i + m_j <= d and sum m_i <= 12d/5 (average the six conic
@@ -272,11 +274,15 @@ def nef_classes_up_to(
     lower end of S even with all of them at that bound holds no class of
     the window and is cut.  A leaf is nef exactly when the six conic
     inequalities hold, 2d >= S - min m; only kept leaves become classes.
+    A box caps the degree range and each orbit's value (a conjugate pair
+    takes the smaller cap of its two slots), and the cut then sums the
+    room each later orbit has under its own cap.
     On the rank-3 model -K.D = d1+d2+d3 bounds every coordinate directly.
     """
     found = []
     if lat.model == "cubic":
-        for coords in itertools.product(range(max_antik + 1), repeat=3):
+        ranges = [range(min(max_antik, cap) + 1) for cap in box or (max_antik,) * 3]
+        for coords in itertools.product(*ranges):
             d = DivisorClass(coords)
             s = sum(coords)
             if 1 <= s <= max_antik and is_nef(lat, d):
@@ -285,7 +291,23 @@ def nef_classes_up_to(
 
     # Conjugation-invariance forces m constant on swapped index pairs.
     orbits = _index_orbits(conj_perm)
-    for deg in range(1, (5 * max_antik) // 3 + 1):
+    deg_top = (5 * max_antik) // 3
+    caps: Optional[list] = None
+    if box is not None:
+        caps = [min(box[1 + i] for i in orbit) for orbit in orbits]
+        if min(caps) < 0:
+            return ()  # every nef class has m_i >= 0
+        deg_top = min(deg_top, box[0])
+        # room_after[k][r]: the most the orbits after the k-th can add when
+        # every slot has room r under its cap
+        room_after = [
+            [
+                sum(len(o) * min(r, c) for o, c in zip(orbits[k + 1:], caps[k + 1:]))
+                for r in range(deg_top + 1)
+            ]
+            for k in range(len(orbits))
+        ]
+    for deg in range(1, deg_top + 1):
         s_lo = 3 * deg - max_antik
         s_hi = min(3 * deg - 1, (12 * deg) // 5)
 
@@ -297,12 +319,18 @@ def nef_classes_up_to(
             orbit = orbits[orbit_idx]
             left -= len(orbit)
             top = deg - max_m if len(orbit) == 1 else min(deg - max_m, deg // 2)
+            if caps is not None:
+                top = min(top, caps[orbit_idx])
             for v in range(top + 1):
                 new_total = total + v * len(orbit)
                 if new_total > s_hi:
                     break
                 new_max = max(max_m, v)
-                if new_total + left * (deg - new_max) < s_lo:
+                if caps is None:
+                    reach = left * (deg - new_max)
+                else:
+                    reach = room_after[orbit_idx][deg - new_max]
+                if new_total + reach < s_lo:
                     continue
                 for i in orbit:
                     m[i] = v
@@ -312,6 +340,17 @@ def nef_classes_up_to(
 
         rec(0, [0] * 6, 0, 0, 6)
     return tuple(sorted(found))
+
+
+def in_box(lat: Lattice, coords: Tuple[int, ...], box: Tuple[int, ...]) -> bool:
+    """Whether a class lies in a box of per-slot caps: on the rank-7 model
+    the caps bound the degree d and each multiplicity m_i of d;m_1,...,m_6,
+    on the rank-3 model each coordinate."""
+    if lat.model == "cubic":
+        return all(x <= cap for x, cap in zip(coords, box))
+    return coords[0] <= box[0] and all(
+        -x <= cap for x, cap in zip(coords[1:], box[1:])
+    )
 
 
 def _index_orbits(conj_perm: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
@@ -334,6 +373,7 @@ def candidate_factors(
     e_class: DivisorClass,
     antik_budget: int,
     blocked: Tuple[DivisorClass, ...] = (),
+    box: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[DivisorClass, ...]:
     """Conjugation-invariant classes able to carry a nonzero count as factor.
 
@@ -342,8 +382,11 @@ def candidate_factors(
     representatives; spurious members are harmless because they evaluate
     to zero.  Classes not meeting E positively are dropped, and so is
     anything crossing a class of `blocked`, the exceptional classes of
-    blown-down curves.  The class -(K+E) is kept here, its
-    exclusion as a factor is enforced at the use site.
+    blown-down curves, or lying outside `box` (see in_box).  On the rank-7
+    model a blocked E_j meets dL - sum m_i E_i in m_j, so it caps slot j of
+    the nef enumeration at 0 instead of filtering its output.  The class
+    -(K+E) is kept here, its exclusion as a factor is enforced at the use
+    site.
     """
     if antik_budget < 1:
         raise ValueError("anticanonical budget must be >= 1")
@@ -355,11 +398,25 @@ def candidate_factors(
             continue
         if any(lat.intersect(line, b) != 0 for b in blocked):
             continue
+        if box is not None and not in_box(lat, line.coords, box):
+            continue
         out.append(line)
-    for d in nef_classes_up_to(lat, conj_perm, antik_budget):
+    caps = box
+    crossing = blocked  # the blocked classes the enumeration does not cap
+    if lat.model == "p2" and blocked:
+        # every nef class of the window has d, m_i <= 5 * antik_budget / 3
+        caps = list(box or [(5 * antik_budget) // 3] * 7)
+        crossing = []
+        for b in blocked:
+            if b in lat.lines[:6]:  # E_j, whose slot j holds m_j
+                j = b.coords.index(1)
+                caps[j] = min(caps[j], 0)
+            else:
+                crossing.append(b)
+    for d in nef_classes_up_to(lat, conj_perm, antik_budget, caps):
         if lat.intersect(d, e_class) < 1:
             continue
-        if any(lat.intersect(d, b) != 0 for b in blocked):
+        if any(lat.intersect(d, b) != 0 for b in crossing):
             continue
         out.append(d)
     return tuple(sorted(set(out)))

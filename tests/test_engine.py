@@ -21,7 +21,9 @@ from welschinger.engine import (
 from welschinger import cli
 from welschinger.errors import CacheError, ValidationError
 from welschinger.invariants import top_key, welschinger
-from welschinger.picard import DivisorClass, candidate_factors, nef_classes_up_to
+from welschinger.picard import (
+    DivisorClass, candidate_factors, in_box, nef_classes_up_to,
+)
 from welschinger.surfaces import make_surface
 from welschinger.tangency import TangencyVector, iweight, norm, odd_partitions, theta
 
@@ -244,8 +246,8 @@ class _ShuffledEvaluator(Evaluator):
         super().__init__(spec)
         self._seed = seed
 
-    def _table(self, route, budget):
-        blocks = list(super()._table(route, budget))
+    def _table(self, route, budget, box):
+        blocks = list(super()._table(route, budget, box))
         random.Random(self._seed).shuffle(blocks)
         blocks.sort(key=lambda b: b.antik)  # stable: shuffled within a degree
         return tuple(blocks)
@@ -253,16 +255,18 @@ class _ShuffledEvaluator(Evaluator):
 
 def test_shuffled_table_moves_blocks_only_within_a_degree():
     spec = make_surface("P2", 2, 2)
-    plain = Evaluator(spec)._table(Evaluator(spec)._full, 6)
-    shuffled = _ShuffledEvaluator(spec, 1)
-    scrambled = shuffled._table(shuffled._full, 6)
-    assert scrambled != plain
-    assert [b.antik for b in scrambled] == [b.antik for b in plain]
-    for deg in {b.antik for b in plain}:
-        assert (
-            sorted(b.coords for b in scrambled if b.antik == deg)
-            == [b.coords for b in plain if b.antik == deg]
-        )
+    # the whole cone, and the box of -2K's c = 0 target (caps on d; m_1..m_6)
+    for box in (None, (5, 2, 2, 2, 2, 2, 2)):
+        plain = Evaluator(spec)._table(Evaluator(spec)._full, 6, box)
+        shuffled = _ShuffledEvaluator(spec, 1)
+        scrambled = shuffled._table(shuffled._full, 6, box)
+        assert scrambled != plain
+        assert [b.antik for b in scrambled] == [b.antik for b in plain]
+        for deg in {b.antik for b in plain}:
+            assert (
+                sorted(b.coords for b in scrambled if b.antik == deg)
+                == [b.coords for b in plain if b.antik == deg]
+            )
 
 
 def test_eval_independent_of_enumeration_order():
@@ -379,7 +383,13 @@ class _LinearScanEvaluator(Evaluator):
     """Evaluator whose factor search subtracts every block from the
     remainder and then tests the difference with _splittable: the scan the
     inline fit test of Evaluator._factor_multisets replaced.  It takes the
-    target's degrees from the lattice, and checks the ones it is handed."""
+    target's degrees from the lattice, and checks the ones it is handed.
+    It searches every candidate of the whole cone up to the budget, not
+    only the blocks in the box of the c = 0 target, so it also checks that
+    no complete collection uses a block outside that box."""
+
+    def _local_blocks(self, route, budget, tc):
+        return tuple(b for b in self._table(route, budget, None) if b.antik <= budget)
 
     def _factor_multisets(
         self, route, t0, te_given, ak_given, alpha_budget, bm_target, ns_target,
@@ -497,38 +507,116 @@ def test_factor_search_matches_linear_scan(data):
     assert got == want
 
 
-def test_cold_eval_enumerates_candidates_once(monkeypatch):
-    budgets = []
+def _counted_candidates(monkeypatch):
+    """Record the (budget, box) of every candidate_factors call the engine
+    makes."""
+    calls = []
     real = engine.candidate_factors
 
     def counted(lat, conj_perm, e_class, budget, **kwargs):
-        budgets.append(budget)
+        calls.append((budget, kwargs.get("box")))
         return real(lat, conj_perm, e_class, budget, **kwargs)
 
     monkeypatch.setattr(engine, "candidate_factors", counted)
+    return calls
+
+
+def test_cold_eval_enumerates_candidates_once(monkeypatch):
+    calls = _counted_candidates(monkeypatch)
     spec = make_surface("P2", 6, 0)
     assert welschinger(spec, spec.parse_class("-2K"), Evaluator(spec)) == 1000
-    assert budgets == [5]  # the top key's -K.(D - E); smaller budgets are prefixes
+    # The top key's -K.(D - E) and the box of D - E = 5L - E1 - E2 -
+    # 2(E3 + ... + E6): d <= 5, m_1, m_2 <= 1 + 1 and m_i <= 2; every state
+    # below it lies in that box.
+    assert calls == [(5, (5, 2, 2, 2, 2, 2, 2))]
 
 
 def _table_rows(blocks):
     return [(b.cls, b.antik, [(o.alpha, o.beta) for o in b.opts]) for b in blocks]
 
 
+def _fits(spec, coords, t):
+    """Whether a class fits under the c = 0 target t, written out apart
+    from the engine: rank 7 b_0 <= t_0, b_i >= t_i - 1 for i = 1, 2 and
+    b_i >= t_i for i >= 3; rank 3 b_i <= t_i."""
+    if spec.lattice.model == "cubic":
+        return all(b <= x for b, x in zip(coords, t))
+    return (
+        coords[0] <= t[0]
+        and all(b >= x - 1 for b, x in zip(coords[1:3], t[1:3]))
+        and all(b >= x for b, x in zip(coords[3:], t[3:]))
+    )
+
+
 def test_grown_table_equals_direct_table():
     for spec in (make_surface("P2", 4, 1), make_surface("B1", twist="F")):
-        grown = Evaluator(spec)
-        direct = Evaluator(spec)
+        box = (2,) * spec.lattice.rank
         for route in ("_full", "_reduced"):
-            small = grown._table(getattr(grown, route), 3)
+            # whole-cone tables grow by their new degrees
+            grown = Evaluator(spec)
+            small = grown._table(getattr(grown, route), 3, None)
             assert small and max(b.antik for b in small) <= 3
-            big = grown._table(getattr(grown, route), 6)
+            big = grown._table(getattr(grown, route), 6, None)
             assert big[: len(small)] == small  # growing only appends
-            assert getattr(grown, route).table == (6, big)
-            want = direct._table(getattr(direct, route), 6)
+            assert getattr(grown, route).table == (6, None, big)
+            direct = Evaluator(spec)
+            want = direct._table(getattr(direct, route), 6, None)
             assert _table_rows(big) == _table_rows(want)
-            # a smaller budget reads the prefix, without shrinking the table
-            assert grown._table(getattr(grown, route), 2) is big
+            # a smaller budget or any box reads the whole cone, unchanged
+            assert grown._table(getattr(grown, route), 2, None) is big
+            assert grown._table(getattr(grown, route), 4, box) is big
+            # a first table holds its box; leaving the box switches to the
+            # whole cone, reusing the blocks already built
+            boxed_ev = Evaluator(spec)
+            boxed = boxed_ev._table(getattr(boxed_ev, route), 3, box)
+            assert getattr(boxed_ev, route).table == (3, box, boxed)
+            assert _table_rows(boxed) == _table_rows(
+                [b for b in small if in_box(spec.lattice, b.coords, box)]
+            )
+            inside = (1,) * spec.lattice.rank
+            assert boxed_ev._table(getattr(boxed_ev, route), 2, inside) is boxed
+            whole = boxed_ev._table(getattr(boxed_ev, route), 2, (3,) * len(box))
+            assert getattr(boxed_ev, route).table == (3, None, whole)
+            assert _table_rows(whole) == _table_rows(small)
+            assert all(any(b is w for w in whole) for b in boxed)
+
+
+def test_cold_table_holds_the_top_key_box(monkeypatch):
+    calls = _counted_candidates(monkeypatch)
+    spec = make_surface("P2", 6, 0)
+    d = spec.parse_class("-3K")
+    ev = Evaluator(spec)
+    assert welschinger(spec, d, ev) == 1766080
+    assert len(calls) == 1
+    t = tuple(x - e for x, e in zip(d.coords, spec.e_class.coords))
+    direct = Evaluator(spec)
+    whole = direct._table(direct._full, 8, None)
+    want = [b for b in whole if _fits(spec, b.coords, t)]
+    assert ev._full.table[0] == 8
+    assert _table_rows(ev._full.table[2]) == _table_rows(want)
+    assert len(want) == 4006 and len(whole) == 11055
+
+
+def test_warm_table_leaving_the_box_switches_to_whole_cone(monkeypatch):
+    calls = _counted_candidates(monkeypatch)
+    spec = make_surface("P2", 4, 1)
+    # 3L - 3E3 has the budget of -2K but m_3 = 3 above -2K's cap of 2
+    texts = ("-2K", "3;0,0,3,0,0,0", "-K")
+    ev = Evaluator(spec)
+    got = []
+    for text in texts:
+        got.append(welschinger(spec, spec.parse_class(text), ev))
+        if text == "-2K":
+            first = ev._full.table[2]
+            assert ev._full.table[:2] == (5, (5, 2, 2, 2, 2, 2, 2))
+    assert [box is None for _, box in calls] == [False, True]
+    budget, box, blocks = ev._full.table
+    assert (budget, box) == (5, None)
+    direct = Evaluator(spec)
+    assert _table_rows(blocks) == _table_rows(direct._table(direct._full, 5, None))
+    assert all(any(b is w for w in blocks) for b in first)
+    fresh = [welschinger(spec, spec.parse_class(text), Evaluator(spec)) for text in texts]
+    assert got == fresh
 
 
 def test_values_independent_of_table_growth_order():
@@ -540,12 +628,18 @@ def test_values_independent_of_table_growth_order():
     down = {d: welschinger(spec, d, descending) for d in reversed(classes)}
     fresh = {d: welschinger(spec, d, Evaluator(spec)) for d in classes}
     assert up == down == fresh
-    assert ascending._full.table[0] == descending._full.table[0]
+    # both end with the whole-cone table, whichever key came first
+    assert ascending._full.table[:2] == descending._full.table[:2] == (4, None)
+    assert _table_rows(ascending._full.table[2]) == _table_rows(
+        descending._full.table[2]
+    )
 
 
 def test_concurrent_table_growth():
-    # Four threads grow one evaluator's tables from different first budgets;
-    # a torn or lost table would show as a wrong value.
+    # Four threads grow one evaluator's tables from different first keys:
+    # the first table holds one key's box, and the others switch it to the
+    # whole cone and grow it; a torn or lost table would show as a wrong
+    # value.
     spec = make_surface("P2", 2, 2)
     classes = sorted(spec.nef_big_classes(5), key=spec.antik_degree)
     want = {d: welschinger(spec, d, Evaluator(spec)) for d in classes}

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from welschinger.errors import ParseError
 from welschinger.picard import (
@@ -163,6 +163,46 @@ def test_blocked_candidates():
     for d in cands:
         assert P2_LATTICE.intersect(d, e_(5)) == 0
         assert P2_LATTICE.intersect(d, e_(6)) == 0
+
+
+def _inside(lat, d, box):
+    # rank 7: caps on d; m_1, ..., m_6 (the raw E_i coefficients negated)
+    if lat.model == "cubic":
+        return all(x <= cap for x, cap in zip(d.coords, box))
+    return d.coords[0] <= box[0] and all(
+        -x <= cap for x, cap in zip(d.coords[1:], box[1:])
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([6, 4, 2, 0, "cubic"]), st.integers(1, 7), st.data())
+def test_boxed_enumeration_equals_filtered_enumeration(pattern, budget, data):
+    # Every conjugation pattern of P2 and the cubic; random caps from -1 to
+    # past the largest coordinate of the window, random blocked lines.
+    if pattern == "cubic":
+        lat, perm = CUBIC_LATTICE, (0, 1, 2)
+        e_cls = CUBIC_LATTICE.lines[data.draw(st.integers(0, 2))]
+        top = budget + 1
+        lines = CUBIC_LATTICE.lines
+    else:
+        lat, perm, e_cls = P2_LATTICE, conj_perm_p2(pattern), E_AUX
+        top = 5 * budget // 3 + 1
+        # E_3, ..., E_6, which cap a slot, and L - E_3 - E_4, which does not
+        lines = P2_LATTICE.lines[2:6] + (parse_class(P2_LATTICE, "1;0,0,1,1,0,0"),)
+    box = data.draw(
+        st.none() | st.tuples(*[st.integers(-1, top)] * lat.rank), label="box"
+    )
+    blocked = tuple(data.draw(st.sets(st.sampled_from(lines)), label="blocked"))
+    plain = nef_classes_up_to(lat, perm, budget)
+    if box is not None:
+        want = tuple(d for d in plain if _inside(lat, d, box))
+        assert nef_classes_up_to(lat, perm, budget, box) == want
+    want = tuple(
+        d for d in candidate_factors(lat, perm, e_cls, budget)
+        if (box is None or _inside(lat, d, box))
+        and all(lat.intersect(d, b) == 0 for b in blocked)
+    )
+    assert candidate_factors(lat, perm, e_cls, budget, blocked, box) == want
 
 
 coords7 = st.tuples(*[st.integers(min_value=-4, max_value=4)] * 7)
