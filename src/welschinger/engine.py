@@ -61,8 +61,8 @@ items, and rigid factors restricted to real lines.  It keeps its own memo,
 and never reads the store, so cross-route equality is a genuine check
 rather than a cache read-back.
 
-Each route also keeps one factor table: a block of decorated options for
-every candidate class, sorted by (-K degree, coords).  Candidacy depends
+Each route also keeps one factor table: a block of picks for every
+candidate class, sorted by (-K degree, coords).  Candidacy depends
 only on the class and its degree, so the candidates under a smaller
 anticanonical budget are the table's prefix of degree <= budget.  A state
 draws only on the candidates in the box of its c = 0 target D - E (see
@@ -77,14 +77,16 @@ A class's options depend on the class only through its E-degree and its
 dimensions n_i = (-K.D - E.D - 1) + |beta|, so each E-degree has one
 sorted template of tangency decorations (alpha, beta and the marked
 branches), built once per process and shared by every surface; a block
-stamps its class's n_i onto the template's rows.
+stamps its class's n_i onto the template's rows as a flat list of picks,
+one per option and marked branch, each with the index where a collection
+holding it continues.
 
-The factor search walks the blocks in table order.  Before it descends
-into a block it tests the fit on the coordinates, the remainder t - b
-passing _feasible (rank 7: b_0 <= t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1,
-b_i >= t_i for i >= 3; rank 3: b_i <= t_i), or, where the block uses up
-the E-degree or the -K degree, b = t.  Only a block that fits gets its
-remainder built.
+The factor search is one loop over the blocks in table order and their
+picks from that index on.  Before it descends into a block it tests the
+fit on the coordinates, the remainder t - b passing _feasible (rank 7:
+b_0 <= t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3;
+rank 3: b_i <= t_i), or, where the block uses up the E-degree or the -K
+degree, b = t.  Only a block that fits gets its remainder built.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ Store = Dict[str, int]
 
 # One summand of a recursion step, as _summands yields it: (kind, k, l,
 # alpha0, beta0, chosen factors, pair ids, coefficient, contribution).  The
-# chosen factors are (option, gamma, beta - gamma, binomial weight) tuples.
+# chosen factors are (option, gamma, beta - gamma, binomial weight) tuples,
+# one per pick of the collection, in pick order.
 Summand = Tuple[
     str, Optional[int], int, TangencyVector, TangencyVector, tuple,
     Tuple[str, ...], int, int,
@@ -212,21 +215,20 @@ class _Option:
     ialpha: int
     beta: TangencyVector
     n_i: int
-    rigid: bool  # n_i == 0 with alpha == 0: subject to the once-only rule
-    # (gamma, beta - gamma, iweight(beta - gamma), binomial weight beta_j)
-    gammas: Tuple[Tuple[TangencyVector, TangencyVector, int, int], ...]
     memo_key: tuple = ()
 
 
 @dataclass(frozen=True)
 class _Block:
-    """All decorated options of one candidate class, for the factor search."""
+    """One candidate class and its picks, for the factor search."""
 
     cls: DivisorClass
     coords: Tuple[int, ...]
     e_deg: int
     antik: int
-    opts: Tuple[_Option, ...]
+    # (option, its template's gamma row, index where a collection holding
+    # the pick continues), in (option, gamma) order; see Evaluator._picks
+    picks: Tuple[Tuple[_Option, tuple, int], ...]
 
 
 @dataclass(eq=False)
@@ -671,47 +673,52 @@ class Evaluator:
             spec.lattice, spec.conj_perm, spec.e_class, budget,
             blocked=spec.candidate_blocked(), box=box,
         ):
+            # No candidate b lacks picks: its option alpha = 0, beta =
+            # (E.b) theta_1 has n = -K.b - 1, >= 1 off the lines (no nef class
+            # has -K.D = 1) and rigid and simple on a line (lines meet E at
+            # most once).  So a whole-cone table holds all but -(K + E).
             blk = old.get(cls.coords)
             if blk is None:
-                antik = spec.antik_degree(cls)
-                # a whole-cone table dropped its classes of degree <= built
-                if cls == mke or built_box is None and antik <= built:
+                if cls == mke:
                     continue
-                opts = self._options(cls, route.rigid_lines_only)
-                if not opts:
-                    continue
-                blk = _Block(cls, cls.coords, spec.e_degree(cls), antik, opts)
+                e_deg, antik = spec.e_degree(cls), spec.antik_degree(cls)
+                blk = _Block(
+                    cls, cls.coords, e_deg, antik,
+                    self._picks(cls, e_deg, antik, route.rigid_lines_only),
+                )
             new.append(blk)
         new.sort(key=lambda b: (b.antik, b.coords))
         blocks = tuple(new)
         route.table = (budget, box, blocks)
         return blocks
 
-    def _options(
-        self, cls: DivisorClass, rigid_lines_only: bool
-    ) -> Tuple[_Option, ...]:
-        """The decorated options of one candidate class, in canonical order:
-        the template of its E-degree stamped with its dimensions."""
-        spec = self.spec
-        e_deg = spec.e_degree(cls)
-        base = spec.antik_degree(cls) - e_deg - 1  # n_i = base + |beta|
+    def _picks(
+        self, cls: DivisorClass, e_deg: int, antik: int, rigid_lines_only: bool
+    ) -> Tuple[Tuple[_Option, tuple, int], ...]:
+        """The picks of one candidate class, in canonical (option, gamma)
+        order: the template of its E-degree stamped with its dimensions, one
+        pick per option and marked branch.  A collection holding a pick
+        continues from it, so a factor can repeat, except for a rigid option
+        (n_i = 0, alpha = 0), which appears at most once."""
+        base = antik - e_deg - 1  # n_i = base + |beta|
         coords = cls.coords
         line = coords in self._line_coords
         key_coords = self._canon(coords) if self._canon else coords
-        opts: List[_Option] = []
+        picks: List[Tuple[_Option, tuple, int]] = []
         for av, ia, bv, nb, gammas, a_key, b_key, simple in _option_template(e_deg):
             n_i = base + nb
             if n_i < 0:
                 continue
             if rigid_lines_only and n_i == 0 and not (line and simple):
                 continue
-            opts.append(
-                _Option(
-                    cls, av, ia, bv, n_i, rigid=(n_i == 0 and not ia), gammas=gammas,
-                    memo_key=(key_coords, a_key, b_key),
-                )
+            opt = _Option(cls, av, ia, bv, n_i, memo_key=(key_coords, a_key, b_key))
+            first = len(picks)
+            rigid = n_i == 0 and not ia
+            picks.extend(
+                (opt, row, first + len(gammas) if rigid else first + j)
+                for j, row in enumerate(gammas)
             )
-        return tuple(opts)
+        return tuple(picks)
 
     def _local_blocks(
         self, route: _Route, budget: int, tc: Tuple[int, ...]
@@ -799,9 +806,7 @@ class Evaluator:
 
         def dfs(
             b0: int,
-            o0: int,
-            g0: int,
-            repick: bool,
+            p0: int,
             t_rem: Tuple[int, ...],
             te_rem: int,
             ak_rem: int,
@@ -856,14 +861,11 @@ class Evaluator:
                         t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
                         t4 - c[4], t5 - c[5], t6 - c[6],
                     )
-                o_begin = o0 if bi == b0 else 0
-                for oi in range(o_begin, len(blk.opts)):
-                    opt = blk.opts[oi]
-                    same = repick and bi == b0 and oi == o0
+                # The value is read before the branch is tested, so a state
+                # is evaluated whenever its option fits n and alpha.
+                for opt, row, p_next in blk.picks[p0 if bi == b0 else 0:]:
                     if opt.n_i > ns_rem:
                         continue
-                    if opt.rigid and same:
-                        continue  # a rigid decorated tuple appears only once
                     if opt.ialpha and not opt.alpha <= a_rem:
                         continue
                     value = memo.get(opt.memo_key)
@@ -871,24 +873,19 @@ class Evaluator:
                         value = value_of(route, opt.cls, opt.alpha, opt.beta)
                     if value == 0:
                         continue
-                    new_a = a_rem - opt.alpha if opt.ialpha else a_rem
-                    g_begin = g0 if same else 0
-                    for g_idx in range(g_begin, len(opt.gammas)):
-                        gamma, beta_minus, ibm_d, bweight = opt.gammas[g_idx]
-                        if ibm_d > ibm_rem or not beta_minus <= bm_rem:
-                            continue
-                        acc.append((opt, gamma, beta_minus, bweight))
-                        yield from dfs(
-                            bi, oi, g_idx, True,
-                            new_t, new_te, new_ak,
-                            new_a, bm_rem - beta_minus, ibm_rem - ibm_d,
-                            ns_rem - opt.n_i, acc,
-                        )
-                        acc.pop()
+                    gamma, beta_minus, ibm_d, bweight = row
+                    if ibm_d > ibm_rem or not beta_minus <= bm_rem:
+                        continue
+                    acc.append((opt, gamma, beta_minus, bweight))
+                    yield from dfs(
+                        bi, p_next, new_t, new_te, new_ak,
+                        a_rem - opt.alpha if opt.ialpha else a_rem,
+                        bm_rem - beta_minus, ibm_rem - ibm_d, ns_rem - opt.n_i, acc,
+                    )
+                    acc.pop()
 
         yield from dfs(
-            0, 0, 0, False, t_root, te0, ak0, alpha_budget, bm_target, ibm0,
-            ns_target, [],
+            0, 0, t_root, te0, ak0, alpha_budget, bm_target, ibm0, ns_target, [],
         )
 
     def _feasible(self, t_rem: Tuple[int, ...]) -> bool:

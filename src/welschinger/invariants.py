@@ -132,16 +132,20 @@ def _line_decompositions(
     yield from rec(target, 0, k, [])
 
 
-def nef_chain(
-    spec: SurfaceSpec, d_prime: DivisorClass, d: DivisorClass
-) -> List[DivisorClass]:
-    """Lines E(1)..E(k) with D = D' + sum E(j), every partial sum nef and
-    big, and each step meeting the next line positively."""
+def _require_chain_model(spec: SurfaceSpec) -> None:
     if spec.model == "B":
         raise ValidationError(
             "chains run on the uncontracted models (the conic-bundle cone "
             "is not stable under adding single lines)"
         )
+
+
+def nef_chain(
+    spec: SurfaceSpec, d_prime: DivisorClass, d: DivisorClass
+) -> List[DivisorClass]:
+    """Lines E(1)..E(k) with D = D' + sum E(j), every partial sum nef and
+    big, and each step meeting the next line positively."""
+    _require_chain_model(spec)
     if not spec.is_nef_big(d_prime) or not spec.is_nef_big(d):
         raise ValidationError("chain endpoints must be nef and big")
     diff = d - d_prime
@@ -373,7 +377,9 @@ def sample_monotone_pairs(
     """Deterministic sample of nef-big pairs (D', D) with effective difference.
 
     D' has -K.D' <= antik_cap - 2, so that one or two lines fit on top.
+    Every pair is checked along a chain, so the model must admit chains.
     """
+    _require_chain_model(spec)
     base_cap = max(antik_cap - 2, 1)
     base = spec.nef_big_classes(base_cap)
     if not base:

@@ -360,3 +360,14 @@ def test_monotonicity_scan_below_smallest_bound(capsys):
     code, out, _ = run(capsys, "scan", "--surface", "P2[6,0]", "--mode",
                        "monotonicity", "--bound", "5", "--no-cache")
     assert code == 0 and out.count("ok") == 10
+
+
+def test_monotonicity_scan_rejects_conic_bundle_model(capsys):
+    # Chains do not exist on model B, whatever the bound.
+    for bound in ("4", "6"):
+        code, out, err = run(capsys, "scan", "--surface", "B", "--twist", "F",
+                             "--mode", "monotonicity", "--bound", bound,
+                             "--no-cache")
+        assert code == 3
+        assert out == ""
+        assert "chains run on the uncontracted models" in err

@@ -315,10 +315,10 @@ def _orbit_representative(spec, coords):
 
 
 def _per_class_options(spec, cls, rigid_lines_only):
-    """Reference for Evaluator._options: the per-class loop it replaced,
+    """Reference for Evaluator._picks: the per-class loop it replaced,
     recomputing the odd partitions, r_dim_class, the real-line rule and the
-    gammas for this one class; the memo key holds the class's orbit
-    representative."""
+    gammas for this one class, as (option, its gamma rows) in canonical
+    order; the memo key holds the class's orbit representative."""
     e_deg = spec.e_degree(cls)
     real_line = cls in spec.lattice.lines and cls != spec.e_class
     rep = _orbit_representative(spec, cls.coords)
@@ -333,19 +333,25 @@ def _per_class_options(spec, cls, rigid_lines_only):
                     real_line and not av and bv == theta(1)
                 ):
                     continue
-                gammas = tuple(
+                gammas = [
                     (theta(j), bv - theta(j), iweight(bv) - j, bv[j])
                     for j in bv.support()
+                ]
+                opt = engine._Option(
+                    cls, av, iweight(av), bv, n_i, memo_key=(rep, av.key(), bv.key())
                 )
-                opts.append(
-                    engine._Option(
-                        cls, av, iweight(av), bv, n_i,
-                        rigid=(n_i == 0 and not av), gammas=gammas,
-                        memo_key=(rep, av.key(), bv.key()),
-                    )
-                )
-    opts.sort(key=lambda o: (o.alpha.key(), o.beta.key()))
-    return tuple(opts)
+                opts.append((opt, gammas))
+    opts.sort(key=lambda o: (o[0].alpha.key(), o[0].beta.key()))
+    return opts
+
+
+def _by_option(picks):
+    """A block's picks regrouped per option: (option, its gamma rows), in
+    pick order."""
+    return [
+        (opt, [row for _, row, _ in group])
+        for opt, group in itertools.groupby(picks, key=lambda pick: pick[0])
+    ]
 
 
 @pytest.mark.parametrize(
@@ -365,7 +371,10 @@ def test_options_match_per_class_loop(model, a, b, twist):
     for cls in classes:
         for rigid_lines_only in (False, True):
             want = _per_class_options(spec, cls, rigid_lines_only)
-            assert ev._options(cls, rigid_lines_only) == want, (cls, rigid_lines_only)
+            picks = ev._picks(
+                cls, spec.e_degree(cls), spec.antik_degree(cls), rigid_lines_only
+            )
+            assert _by_option(picks) == want, (cls, rigid_lines_only)
 
 
 def _splittable(spec, t):
@@ -386,7 +395,23 @@ class _LinearScanEvaluator(Evaluator):
     target's degrees from the lattice, and checks the ones it is handed.
     It searches every candidate of the whole cone up to the budget, not
     only the blocks in the box of the c = 0 target, so it also checks that
-    no complete collection uses a block outside that box."""
+    no complete collection uses a block outside that box.  It regroups each
+    block's picks by option and walks the options and their gammas in loops
+    of its own, with the rule the picks' restart indices replaced: a
+    collection restarts at its last (option, gamma), and a rigid option
+    (n_i = 0, alpha = 0) is taken at most once."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        # id(block) -> (block, its options and gammas); holding the block
+        # keeps its id from being reused
+        self._grouped = {}
+
+    def _options_of(self, blk):
+        entry = self._grouped.get(id(blk))
+        if entry is None:
+            entry = self._grouped[id(blk)] = (blk, _by_option(blk.picks))
+        return entry[1]
 
     def _local_blocks(self, route, budget, tc):
         return tuple(b for b in self._table(route, budget, None) if b.antik <= budget)
@@ -430,13 +455,14 @@ class _LinearScanEvaluator(Evaluator):
                     new_te < 1 or new_ak < 1 or not feasible(new_t)
                 ):
                     continue
+                opts = self._options_of(blk)
                 o_begin = o0 if bi == b0 else 0
-                for oi in range(o_begin, len(blk.opts)):
-                    opt = blk.opts[oi]
+                for oi in range(o_begin, len(opts)):
+                    opt, gammas = opts[oi]
                     same = repick and bi == b0 and oi == o0
                     if opt.n_i > ns_rem:
                         continue
-                    if opt.rigid and same:
+                    if opt.n_i == 0 and not opt.ialpha and same:
                         continue
                     if opt.ialpha and not opt.alpha <= a_rem:
                         continue
@@ -444,8 +470,8 @@ class _LinearScanEvaluator(Evaluator):
                         continue
                     new_a = a_rem - opt.alpha if opt.ialpha else a_rem
                     g_begin = g0 if same else 0
-                    for g_idx in range(g_begin, len(opt.gammas)):
-                        gamma, beta_minus, ibm_d, bweight = opt.gammas[g_idx]
+                    for g_idx in range(g_begin, len(gammas)):
+                        gamma, beta_minus, ibm_d, bweight = gammas[g_idx]
                         if ibm_d > ibm_rem or not beta_minus <= bm_rem:
                             continue
                         acc.append((opt, gamma, beta_minus, bweight))
@@ -532,7 +558,10 @@ def test_cold_eval_enumerates_candidates_once(monkeypatch):
 
 
 def _table_rows(blocks):
-    return [(b.cls, b.antik, [(o.alpha, o.beta) for o in b.opts]) for b in blocks]
+    return [
+        (b.cls, b.antik, [(o.alpha, o.beta, row[0], p) for o, row, p in b.picks])
+        for b in blocks
+    ]
 
 
 def _fits(spec, coords, t):
