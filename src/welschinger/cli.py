@@ -79,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="auxiliary (-1)-curve, class DSL")
         p.add_argument("--cache", default=None, help="persistent store path")
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--csv", action="store_true")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true")
+        fmt.add_argument("--csv", action="store_true")
         p.add_argument("--no-timing", action="store_true")
 
     p = sub.add_parser("compute", help="one invariant value")

@@ -86,7 +86,18 @@ picks from that index on.  Before it descends into a block it tests the
 fit on the coordinates, the remainder t - b passing _feasible (rank 7:
 b_0 <= t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3;
 rank 3: b_i <= t_i), or, where the block uses up the E-degree or the -K
-degree, b = t.  Only a block that fits gets its remainder built.
+degree, b = t.  Only a block that fits gets its remainder built.  On rank
+7 the remainder must then pass the conic cut: writing it dL - sum m_i E_i,
+d >= max m_i, 2d >= the sum of the four largest m_i and 3d >= sum m_i +
+max m_i.  These say that it meets each of the 27 conic classes -K - l (l a
+line) non-negatively, which every sum of candidates does: a conic is nef
+and a sum of two lines, a candidate is a line or nef (the proof is at
+_feasible, which applies the same cut to the root).  The cut drops about
+three quarters of the fitting remainders of a cold P2[6,0] -3K before
+their picks are walked, and with them the factor values those picks would
+have read; it never fired on the cubic's rank-3 lattice, which keeps the
+fit test alone.  A pick whose remainder would fail the beta balance
+I(beta_rem) <= E.t_rem - 1 is skipped before any generator is made for it.
 """
 
 from __future__ import annotations
@@ -796,9 +807,9 @@ class Evaluator:
         if not self._feasible(t_root):
             return
         zero_t = self._zero_coords
-        if t_root != zero_t and (te0 < 1 or ak0 < 1):
-            return
         ibm0 = iweight(bm_target)
+        if t_root != zero_t and (te0 < 1 or ak0 < 1 or ibm0 > te0 - 1):
+            return
         cubic = self.spec.lattice.model == "cubic"
         n_blocks = len(blocks)
         memo = route.memo
@@ -820,10 +831,9 @@ class Evaluator:
                 if not bm_rem and ns_rem == 0:
                     yield tuple(acc)
                 return
-            # te_rem >= 1, ak_rem >= 1 and a feasible t_rem hold already:
-            # the root is checked above, every descent below.
-            if ibm_rem > te_rem - 1:
-                return
+            # te_rem >= 1, ak_rem >= 1, the beta balance ibm_rem <= te_rem - 1
+            # and a feasible t_rem hold already: the root is checked above,
+            # every descent below.
             if cubic:
                 t0, t1, t2 = t_rem
             else:
@@ -838,19 +848,23 @@ class Evaluator:
                 if new_te < 0:
                     continue
                 # A nonzero remainder needs both degrees >= 1, so at a zero
-                # degree only the block that is the whole remainder goes on.
-                # Otherwise the block fits when t_rem - c is feasible (see
-                # _feasible), tested on the coordinates before the remainder
-                # is built.
+                # degree only the block that is the whole remainder goes on,
+                # and it must use up beta.  Otherwise the block fits when
+                # t_rem - c is feasible (see _feasible): the fit is tested on
+                # the coordinates before the remainder is built, and on rank
+                # 7 the conic cut on the remainder after.  A pick then keeps
+                # the beta balance of the nonzero remainder, ibm_d >= ibm_lo.
                 c = blk.coords
                 if new_te == 0 or new_ak == 0:
                     if c != t_rem:
                         continue
                     new_t = zero_t
+                    ibm_lo = ibm_rem
                 elif cubic:
                     if c[0] > t0 or c[1] > t1 or c[2] > t2:
                         continue
                     new_t = (t0 - c[0], t1 - c[1], t2 - c[2])
+                    ibm_lo = ibm_rem - new_te + 1
                 else:
                     if (
                         c[0] > t0 or c[1] < s1 or c[2] < s2 or c[3] < t3
@@ -861,6 +875,16 @@ class Evaluator:
                         t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
                         t4 - c[4], t5 - c[5], t6 - c[6],
                     )
+                    # the conic cut: with u = sorted raw E_i coefficients,
+                    # min(d, -K.t) >= max m_i = -u[0] and -K.t - d >= u[4] + u[5]
+                    u = sorted(new_t[1:])
+                    d_new = new_t[0]
+                    if (
+                        u[0] + (d_new if d_new < new_ak else new_ak) < 0
+                        or new_ak - d_new < u[4] + u[5]
+                    ):
+                        continue
+                    ibm_lo = ibm_rem - new_te + 1
                 # The value is read before the branch is tested, so a state
                 # is evaluated whenever its option fits n and alpha.
                 for opt, row, p_next in blk.picks[p0 if bi == b0 else 0:]:
@@ -874,7 +898,7 @@ class Evaluator:
                     if value == 0:
                         continue
                     gamma, beta_minus, ibm_d, bweight = row
-                    if ibm_d > ibm_rem or not beta_minus <= bm_rem:
+                    if ibm_d > ibm_rem or ibm_d < ibm_lo or not beta_minus <= bm_rem:
                         continue
                     acc.append((opt, gamma, beta_minus, bweight))
                     yield from dfs(
@@ -889,17 +913,45 @@ class Evaluator:
         )
 
     def _feasible(self, t_rem: Tuple[int, ...]) -> bool:
-        """Cheap necessary conditions for t_rem to split into candidates."""
+        """Cheap necessary conditions for t_rem to split into candidates.
+
+        On the cubic every candidate has non-negative line coordinates.  On
+        rank 7 the raw E_i coefficients of candidates are <= 0 except the
+        once-only exceptional factors E_1, E_2 themselves, so t_0 >= 0,
+        t_1, t_2 <= 1 and t_i <= 0 for i >= 3.
+
+        The conic cut (rank 7).  Write t = dL - sum m_i E_i (m_i = -t_i).
+        Its intersections with the 27 conic classes -K - l, l a line, are
+
+            (L - E_i).t                 = d - m_i
+            (2L - four of the E_k).t    = -K.t - d + m_a + m_b
+            (3L - 2E_i - others).t      = -K.t - m_i
+
+        (a, b the two slots the second conic omits), so t meets every conic
+        non-negatively exactly when d >= max m, 2d >= the four largest m_i
+        and 3d >= sum m + max m: min(d, -K.t) >= max m and -K.t - d >= the
+        two largest t_i.  Every sum of candidates passes.  A conic C = -K - l
+        is nef, since C.l = 2 and C.l' = 1 - l.l' >= 0 for another line l'
+        (distinct lines meet at most once), and it is the sum of two lines,
+        l' + l'' with l + l' + l'' = -K.  So a line candidate meets C >= 0 as
+        an effective class, and a nef candidate meets C = l' + l'' >= 0,
+        since the nef test asks D.l' >= 0 on all 27 lines.  That covers
+        every candidate: the once-only E_1 and E_2 are lines, and a
+        blown-down slot only makes a candidate's coordinate there zero, the
+        class staying a line or nef on the rank-7 lattice.  A pair subset's
+        class is taken off the target before the search, so the remainder
+        is a sum of candidates alone.
+        """
         if self.spec.lattice.model == "cubic":
-            # Every candidate has non-negative line coordinates.
             return t_rem[0] >= 0 and t_rem[1] >= 0 and t_rem[2] >= 0
-        if t_rem[0] < 0:
+        d = t_rem[0]
+        if d < 0 or t_rem[1] > 1 or t_rem[2] > 1:
             return False
-        # Raw E_i coefficients of candidates are <= 0 except the once-only
-        # exceptional factors E_1, E_2 themselves.
-        if t_rem[1] > 1 or t_rem[2] > 1:
+        if t_rem[3] > 0 or t_rem[4] > 0 or t_rem[5] > 0 or t_rem[6] > 0:
             return False
-        return t_rem[3] <= 0 and t_rem[4] <= 0 and t_rem[5] <= 0 and t_rem[6] <= 0
+        u = sorted(t_rem[1:])
+        ak = 3 * d + sum(u)
+        return u[0] + min(d, ak) >= 0 and ak - d >= u[4] + u[5]
 
 
 def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:

@@ -47,6 +47,20 @@ def test_compute_parse_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--surface", "B1", "--twist", "F", "--class", "-K"),
+    ("scan", "--surface", "B1", "--twist", "F", "--bound", "3",
+     "--mode", "positivity"),
+])
+def test_json_and_csv_together_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--json", "--csv", "--no-cache"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_table_matches_reference(capsys):
     code, out, _ = run(capsys, "table", "--no-cache", "--json", "--no-timing")
     assert code == 0

@@ -22,7 +22,7 @@ from welschinger import cli
 from welschinger.errors import CacheError, ValidationError
 from welschinger.invariants import top_key, welschinger
 from welschinger.picard import (
-    DivisorClass, candidate_factors, in_box, nef_classes_up_to,
+    P2_LATTICE, DivisorClass, candidate_factors, in_box, nef_classes_up_to,
 )
 from welschinger.surfaces import make_surface
 from welschinger.tangency import TangencyVector, iweight, norm, odd_partitions, theta
@@ -531,6 +531,21 @@ def test_factor_search_matches_linear_scan(data):
     want = list(slow._split_terms(getattr(slow, route), d, alpha, beta, n))
     got = list(fast._split_terms(getattr(fast, route), d, alpha, beta, n))
     assert got == want
+
+
+_CONICS = [-P2_LATTICE.canonical - line for line in P2_LATTICE.lines]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(-2, 8), *[st.integers(-6, 2)] * 6))
+def test_root_cut_is_the_fit_and_the_27_conics(t):
+    # The root test of the rank-7 factor search keeps a target exactly when
+    # it fits (_splittable) and meets every conic -K - l non-negatively.
+    spec = make_surface("P2", 6, 0)
+    want = _splittable(spec, t) and all(
+        P2_LATTICE.intersect(DivisorClass(t), c) >= 0 for c in _CONICS
+    )
+    assert Evaluator(spec)._feasible(t) == want
 
 
 def _counted_candidates(monkeypatch):

@@ -254,6 +254,52 @@ def test_k_plus_e_identities():
         assert lat.intersect(e_cls, ke) == -2
 
 
+def _conics():
+    """The 27 conic classes -K - l of the rank-7 lattice, from its own lines."""
+    anti_k = -P2_LATTICE.canonical
+    return [anti_k - line for line in P2_LATTICE.lines]
+
+
+def test_conics_are_the_27_classes_of_degree_two_and_square_zero():
+    conics = _conics()
+    assert len(set(conics)) == 27
+    for c in conics:
+        assert P2_LATTICE.intersect(c, c) == 0
+        assert -P2_LATTICE.intersect(P2_LATTICE.canonical, c) == 2
+        assert all(P2_LATTICE.intersect(c, line) >= 0 for line in P2_LATTICE.lines)
+
+
+@pytest.mark.parametrize("n_real", [6, 4, 2, 0])
+def test_every_candidate_meets_every_conic_non_negatively(n_real):
+    # The premise of the engine's conic cut, on P2[6,0], P2[4,1], P2[2,2]
+    # and P2[0,3]: the whole cone up to -K degree 6, lines included (the
+    # once-only E_1 and E_2 among them where they are real).  Blocking a
+    # blown-down curve only removes candidates from this list.
+    perm = conj_perm_p2(n_real)
+    cands = candidate_factors(P2_LATTICE, perm, E_AUX, 6)
+    if n_real >= 2:
+        assert e_(1) in cands and e_(2) in cands
+    conics = _conics()
+    for d in cands:
+        assert all(P2_LATTICE.intersect(d, c) >= 0 for c in conics), d
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-3, 8), st.tuples(*[st.integers(-6, 2)] * 6))
+def test_conic_inequalities_equal_the_27_conic_pairings(d, raw_e):
+    # t = dL + sum raw_e[i] E_i, so m_i = -raw_e[i].
+    t = DivisorClass((d,) + raw_e)
+    meets_all = all(P2_LATTICE.intersect(t, c) >= 0 for c in _conics())
+    m = sorted((-x for x in raw_e), reverse=True)
+    three = d >= m[0] and 2 * d >= sum(m[:4]) and 3 * d >= sum(m) + m[0]
+    assert three == meets_all
+    # the same cut through -K.t: min(d, -K.t) >= max m and -K.t - d >= the
+    # two largest raw E_i coefficients
+    ak = -P2_LATTICE.intersect(P2_LATTICE.canonical, t)
+    top = sorted(raw_e)
+    assert (min(d, ak) >= m[0] and ak - d >= top[4] + top[5]) == meets_all
+
+
 def test_class_text_round_trip():
     for lat, texts in (
         (P2_LATTICE, ["3;1,1,1,1,1,1", "0;0,-1,0,0,0,0", "2;1,0,1,1,1,0"]),
