@@ -10,11 +10,12 @@ assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from .engine import Evaluator, cache_load, cache_save, make_key
 from .errors import (
@@ -62,71 +63,77 @@ TABLE_COLUMNS: List[Tuple[str, str, str]] = [
 CONIC_ROWS = {"-K": "2,1,1", "-2K": "4,2,2"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> Tuple[argparse.ArgumentParser, FrozenSet[str]]:
+    """The parser of every verb, built on first use, and the flags that take
+    a value.  Each verb takes only the flags its cmd_* function reads."""
     parser = argparse.ArgumentParser(
         prog="welschinger",
         description="Exact Welschinger invariants of real del Pezzo surfaces "
         "of degree >= 3",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    value_flags = set()
 
-    def add_common(p: argparse.ArgumentParser, with_surface: bool = True):
-        if with_surface:
-            p.add_argument("--surface", required=True, help="P2[a,b], B1 or B")
-            p.add_argument("--twist", default="0", choices=["0", "F"])
-            p.add_argument("--blowdown", default="", help="indices i,j,...")
-            p.add_argument("--E", dest="e_choice", default=None,
-                           help="auxiliary (-1)-curve, class DSL")
-        p.add_argument("--cache", default=None, help="persistent store path")
-        p.add_argument("--no-cache", action="store_true")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true")
-        fmt.add_argument("--csv", action="store_true")
-        p.add_argument("--no-timing", action="store_true")
+    def value(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+        p.add_argument(flag, **kwargs)
+        value_flags.add(flag)
 
-    p = sub.add_parser("compute", help="one invariant value")
-    add_common(p)
-    p.add_argument("--class", dest="class_text", required=True)
-    p.set_defaults(func=cmd_compute)
+    def verb(name: str, func: Callable, help: str, surface: bool = True,
+             store: bool = True, output: Optional[str] = "json",
+             timing: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if surface:
+            value(p, "--surface", required=True, help="P2[a,b], B1 or B")
+            value(p, "--twist", default="0", choices=["0", "F"])
+            value(p, "--blowdown", default="", help="indices i,j,...")
+            value(p, "--E", dest="e_choice", default=None,
+                  help="auxiliary (-1)-curve, class DSL")
+        if store:
+            value(p, "--cache", default=None, help="persistent store path")
+            p.add_argument("--no-cache", action="store_true")
+        if output == "rows":  # printed by _emit_rows
+            fmt = p.add_mutually_exclusive_group()
+            fmt.add_argument("--json", action="store_true")
+            fmt.add_argument("--csv", action="store_true")
+        elif output == "json":
+            p.add_argument("--json", action="store_true")
+        if timing:
+            p.add_argument("--no-timing", action="store_true")
+        return p
 
-    p = sub.add_parser("table", help="reproduce the reference value table")
-    add_common(p, with_surface=False)
-    p.set_defaults(func=cmd_table)
+    p = verb("compute", cmd_compute, "one invariant value", timing=True)
+    value(p, "--class", dest="class_text", required=True)
 
-    p = sub.add_parser("trace", help="term-level dump of one evaluation")
-    add_common(p)
-    p.add_argument("--class", dest="class_text", required=True)
-    p.add_argument("--alpha", default=None, help="fixed tangencies, k:c,... or 0")
-    p.add_argument("--beta", default=None, help="moving tangencies, k:c,... or 0")
-    p.set_defaults(func=cmd_trace)
+    verb("table", cmd_table, "reproduce the reference value table",
+         surface=False, timing=True)
 
-    p = sub.add_parser("scan", help="property verification suites")
-    add_common(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=["positivity", "monotonicity", "symmetry", "blowdown", "epath"],
-    )
-    p.set_defaults(func=cmd_scan)
+    p = verb("trace", cmd_trace, "term-level dump of one evaluation", output=None)
+    value(p, "--class", dest="class_text", required=True)
+    value(p, "--alpha", default=None, help="fixed tangencies, k:c,... or 0")
+    value(p, "--beta", default=None, help="moving tangencies, k:c,... or 0")
 
-    p = sub.add_parser("chain", help="nef-big chain between two classes")
-    add_common(p)
-    p.add_argument("--from", dest="from_text", required=True)
-    p.add_argument("--to", dest="to_text", required=True)
-    p.set_defaults(func=cmd_chain)
+    p = verb("scan", cmd_scan, "property verification suites", output="rows")
+    value(p, "--bound", type=int, required=True)
+    value(p, "--mode", required=True,
+          choices=["positivity", "monotonicity", "symmetry", "blowdown", "epath"])
 
-    p = sub.add_parser("growth", help="exact values of W(nD)")
-    add_common(p)
-    p.add_argument("--class", dest="class_text", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_growth)
+    # chain evaluates nothing, so it takes no store
+    p = verb("chain", cmd_chain, "nef-big chain between two classes",
+             store=False, output="rows")
+    value(p, "--from", dest="from_text", required=True)
+    value(p, "--to", dest="to_text", required=True)
 
-    p = sub.add_parser("cache", help="inspect a persistent store")
+    p = verb("growth", cmd_growth, "exact values of W(nD)", output="rows")
+    value(p, "--class", dest="class_text", required=True)
+    value(p, "--n-max", type=int, required=True)
+
+    p = verb("cache", cmd_cache, "inspect a persistent store",
+             surface=False, store=False, output=None)
     p.add_argument("action", choices=["info"])
     p.add_argument("path")
-    p.set_defaults(func=cmd_cache)
-    return parser
+    return parser, frozenset(value_flags)
 
 
 def _spec(args) -> SurfaceSpec:
@@ -358,31 +365,20 @@ def cmd_cache(args) -> int:
     return 0
 
 
-_VALUE_FLAGS = {
-    "--class", "--from", "--to", "--alpha", "--beta", "--E", "--surface",
-    "--blowdown", "--cache", "--twist", "--bound", "--mode", "--n-max",
-}
-
-
-def _fuse_values(argv: List[str]) -> List[str]:
+def _fuse_values(argv: List[str], value_flags: FrozenSet[str]) -> List[str]:
     """Join value-taking flags with their argument so classes like -2K parse."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in value_flags else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser, value_flags = build_parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
-    args = parser.parse_args(_fuse_values(raw))
+    args = parser.parse_args(_fuse_values(raw, value_flags))
     print("# welschinger " + " ".join(raw), file=sys.stderr)
     try:
         return args.func(args)

@@ -129,8 +129,8 @@ Store = Dict[str, int]
 
 # One summand of a recursion step, as _summands yields it: (kind, k, l,
 # alpha0, beta0, chosen factors, pair ids, coefficient, contribution).  The
-# chosen factors are (option, gamma, beta - gamma, binomial weight) tuples,
-# one per pick of the collection, in pick order.
+# chosen factors are (option, gamma, beta - gamma, binomial weight, value)
+# tuples, one per pick of the collection, in pick order.
 Summand = Tuple[
     str, Optional[int], int, TangencyVector, TangencyVector, tuple,
     Tuple[str, ...], int, int,
@@ -455,11 +455,8 @@ class Evaluator:
             self._summands(route, key.d, key.alpha, key.beta)
         ):
             factors = tuple(
-                FactorRecord(
-                    opt.cls, opt.alpha, opt.beta, gamma, opt.n_i,
-                    self._value(route, opt.cls, opt.alpha, opt.beta),
-                )
-                for opt, gamma, _, _ in chosen
+                FactorRecord(opt.cls, opt.alpha, opt.beta, gamma, opt.n_i, value)
+                for opt, gamma, _, _, value in chosen
             )
             record = TermRecord(
                 kind, k, l, alpha0, beta0, factors, pair_ids, coeff, contribution
@@ -611,30 +608,29 @@ class Evaluator:
                             ak - p_ak, alpha_budget, bm_target, ns_target, blocks,
                         ):
                             yield self._make_term(
-                                route, n1, l, alpha, alpha0, beta0, nb0, chosen,
+                                n1, l, alpha, alpha0, beta0, nb0, chosen,
                                 pair_ids, p_weight,
                             )
                     l += 1
 
     def _make_term(
         self,
-        route: _Route,
         n1: int,
         l: int,
         alpha: TangencyVector,
         alpha0: TangencyVector,
         beta0: TangencyVector,
         nb0: int,
-        chosen: Tuple[Tuple[_Option, TangencyVector, TangencyVector, int], ...],
+        chosen: Tuple[Tuple[_Option, TangencyVector, TangencyVector, int, int], ...],
         pair_ids: Tuple[str, ...],
         pair_weight: int,
     ) -> Summand:
-        n_parts = [opt.n_i for opt, _, _, _ in chosen]
+        n_parts = [opt.n_i for opt, *_ in chosen]
         coeff = (1 << nb0) * _multinomial_exact(
             n1, n_parts + [cnt for _, cnt in beta0], "sum n_i = n-1-|beta0|"
         )
         coeff *= l + 1  # the weight of l pencil components
-        coeff *= multinomial(alpha, [alpha0] + [opt.alpha for opt, _, _, _ in chosen])
+        coeff *= multinomial(alpha, [alpha0] + [opt.alpha for opt, *_ in chosen])
         # The sum runs over unordered collections: slot permutations of
         # repeated identical decorated factors describe the same splitting,
         # so the ordered point-distribution count is divided by the
@@ -647,9 +643,9 @@ class Evaluator:
                     "symmetrized coefficient is not an integer"
                 )
         value = coeff * pair_weight
-        for opt, _, _, bweight in chosen:
+        for _, _, _, bweight, factor_value in chosen:
             coeff *= bweight
-            value *= bweight * self._value(route, opt.cls, opt.alpha, opt.beta)
+            value *= bweight * factor_value
         return ("split", None, l, alpha0, beta0, chosen, pair_ids, coeff, value)
 
     # -- factor enumeration ----------------------------------------------------------
@@ -793,13 +789,13 @@ class Evaluator:
         bm_target: TangencyVector,
         ns_target: int,
         blocks: Tuple[_Block, ...],
-    ) -> Iterator[Tuple[Tuple[_Option, TangencyVector, TangencyVector, int], ...]]:
+    ) -> Iterator[Tuple[Tuple[_Option, TangencyVector, TangencyVector, int, int], ...]]:
         """Unordered factor collections matching all budgets exactly.
 
         The target is given by its coordinates t_root, its E-degree te0 and
         its -K degree ak0.  Yields tuples of (option, gamma,
-        beta_minus_gamma, binom weight) in non-decreasing canonical order;
-        each unordered collection once.
+        beta_minus_gamma, binom weight, factor value) in non-decreasing
+        canonical order; each unordered collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
         each; the blocks of the reduced route further restrict them to real
         lines other than E carrying a single simple moving branch.
@@ -900,7 +896,7 @@ class Evaluator:
                     gamma, beta_minus, ibm_d, bweight = row
                     if ibm_d > ibm_rem or ibm_d < ibm_lo or not beta_minus <= bm_rem:
                         continue
-                    acc.append((opt, gamma, beta_minus, bweight))
+                    acc.append((opt, gamma, beta_minus, bweight, value))
                     yield from dfs(
                         bi, p_next, new_t, new_te, new_ak,
                         a_rem - opt.alpha if opt.ialpha else a_rem,

@@ -136,32 +136,17 @@ class SurfaceSpec:
 
     # -- nef cones ---------------------------------------------------------------
 
+    # Model B needs no branch of its own: it contracts L1, and with the
+    # cubic form (D.D = 2 sum_{i<j} d_i d_j - sum d_i^2) a class with
+    # D.L1 = d2 + d3 - d1 = 0 is (dy + dz, dy, dz), nef when dy, dz >= 0 (it
+    # meets L2 and L3 in 2 dz and 2 dy), with D.D = 4 dy dz; so the nef-big
+    # classes orthogonal to L1 are those with dy, dz >= 1.
+
     def is_nef_big(self, d: DivisorClass) -> bool:
-        if self.model == "B":
-            # Conic-bundle classes: orthogonal to the contracted line, with
-            # both fibre-direction coefficients positive.
-            if not self.class_allowed(d):
-                return False
-            kept = [c for i, c in enumerate(d.coords) if (i + 1) not in self.blown_down]
-            return all(c > 0 for c in kept)
         return is_nef_big(self.lattice, d) and self.class_allowed(d)
 
     def nef_big_classes(self, max_antik: int) -> Tuple[DivisorClass, ...]:
         """Conjugation-invariant nef-and-big classes with -K.D <= max_antik."""
-        if self.model == "B":
-            z = self.blown_down[0] - 1
-            out = []
-            for dy in range(1, max_antik + 1):
-                for dz in range(1, max_antik + 1):
-                    coords = [0, 0, 0]
-                    rest = [i for i in range(3) if i != z]
-                    coords[rest[0]] = dy
-                    coords[rest[1]] = dz
-                    coords[z] = dy + dz
-                    d = DivisorClass(coords)
-                    if self.antik_degree(d) <= max_antik:
-                        out.append(d)
-            return tuple(sorted(out))
         lat = self.lattice  # the enumerated classes are nef already
         return tuple(
             d for d in nef_classes_up_to(lat, self.conj_perm, max_antik)

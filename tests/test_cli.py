@@ -58,7 +58,47 @@ def test_json_and_csv_together_exit_2(capsys, argv):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "not allowed with argument" in err
+    # scan takes both flags, but not together; compute takes no --csv
+    if argv[0] == "scan":
+        assert "not allowed with argument" in err
+    else:
+        assert "unrecognized arguments: --csv" in err
+
+
+_B1F = ("--surface", "B1", "--twist", "F")
+_CHAIN = ("chain", *_B1F, "--from", "1,1,1", "--to", "2,2,2")
+
+
+# A flag a verb's command does not read is refused like any unknown flag.
+@pytest.mark.parametrize("argv, flag", [
+    (("compute", *_B1F, "--class", "-K"), ("--csv",)),
+    (("table",), ("--csv",)),
+    (("trace", *_B1F, "--class", "-K"), ("--json",)),
+    (("trace", *_B1F, "--class", "-K"), ("--csv",)),
+    (("trace", *_B1F, "--class", "-K"), ("--no-timing",)),
+    (("scan", *_B1F, "--bound", "3", "--mode", "positivity"), ("--no-timing",)),
+    (("growth", *_B1F, "--class", "-K", "--n-max", "2"), ("--no-timing",)),
+    (_CHAIN, ("--cache", "store.txt")),
+    (_CHAIN, ("--no-cache",)),
+    (_CHAIN, ("--no-timing",)),
+])
+def test_flag_the_verb_does_not_read_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *flag])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag[0]}" in err
+
+
+def test_value_flags_take_dash_leading_values(capsys):
+    # --from/--to and --bound are value flags, so -K, -2K and -1 are values
+    by_k = run(capsys, "chain", *_B1F, "--from", "-K", "--to", "-2K")
+    assert by_k[:2] == run(capsys, *_CHAIN)[:2]
+    code, out, err = run(capsys, "scan", *_B1F, "--mode", "positivity",
+                         "--bound", "-1", "--no-cache")
+    assert (code, out) == (3, "")
+    assert "scan bound must be >= 1" in err
 
 
 def test_table_matches_reference(capsys):
@@ -122,8 +162,7 @@ def test_scan_symmetry(capsys):
 
 
 def test_chain_command(capsys):
-    code, out, _ = run(capsys, "chain", "--surface", "B1", "--twist", "F",
-                       "--from", "1,1,1", "--to", "2,2,2", "--no-cache")
+    code, out, _ = run(capsys, *_CHAIN)
     assert code == 0
     rows = [line.split() for line in out.strip().splitlines()]
     assert len(rows) == 3

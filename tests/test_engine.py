@@ -466,7 +466,8 @@ class _LinearScanEvaluator(Evaluator):
                         continue
                     if opt.ialpha and not opt.alpha <= a_rem:
                         continue
-                    if self._value(route, opt.cls, opt.alpha, opt.beta) == 0:
+                    value = self._value(route, opt.cls, opt.alpha, opt.beta)
+                    if value == 0:
                         continue
                     new_a = a_rem - opt.alpha if opt.ialpha else a_rem
                     g_begin = g0 if same else 0
@@ -474,7 +475,7 @@ class _LinearScanEvaluator(Evaluator):
                         gamma, beta_minus, ibm_d, bweight = gammas[g_idx]
                         if ibm_d > ibm_rem or not beta_minus <= bm_rem:
                             continue
-                        acc.append((opt, gamma, beta_minus, bweight))
+                        acc.append((opt, gamma, beta_minus, bweight, value))
                         yield from dfs(
                             bi, oi, g_idx, True, new_t, new_te, new_ak, new_a,
                             bm_rem - beta_minus, ibm_rem - ibm_d,
