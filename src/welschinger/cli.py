@@ -145,10 +145,12 @@ def _spec(args) -> SurfaceSpec:
 def _evaluators(
     args, specs: List[SurfaceSpec]
 ) -> Tuple[List[Evaluator], Callable[[], None]]:
-    """Evaluators of the specs, reading the store on memo misses, and the
-    function that writes their records back."""
+    """Evaluators of the specs, reading the store's records of their
+    surfaces on memo misses, and the function that writes those records
+    back beside the other surfaces' lines."""
     path = None if args.no_cache else args.cache or os.environ.get("WELSCHINGER_CACHE")
-    store = cache_load(path) if path and os.path.exists(path) else {}
+    sids = {spec.surface_id for spec in specs}
+    store = cache_load(path, surface_ids=sids) if path and os.path.exists(path) else {}
     evs = [Evaluator(spec, store) for spec in specs]
 
     def save() -> None:
@@ -157,7 +159,7 @@ def _evaluators(
         if path and any(ev.misses for ev in evs):
             for ev in evs:
                 ev.dump(store)
-            cache_save(store, path)
+            cache_save(store, path, surface_ids=sids)
 
     return evs, save
 

@@ -53,7 +53,13 @@ A persistent store (a small versioned text format, one record per line) is
 read on demand: a memo miss of the full route formats the key, with the
 function that also writes the store, and adopts a stored value into the
 memo.  Its keys are orbit representatives; a record of another member of
-an orbit, as a raw-keyed memo writes them, is valid but never read.
+an orbit, as a raw-keyed memo writes them, is valid but never read.  A
+run loads, checks and converts only the records of the surfaces it
+evaluates (cache_load's surface_ids); the file, its header and its record
+count are checked whole.  Its save reads the file again and writes the
+other surfaces' lines back byte for byte, so a concurrent writer of
+another surface loses its records only if it saves between that read and
+this save's rename.
 
 On the two-component cubic with the component twist a second route runs
 through the same recursion with restricted summands: l = 0 only, no pair
@@ -109,7 +115,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CacheError, InternalCheckError, ValidationError
 from .picard import DivisorClass, candidate_factors, class_to_str
@@ -971,31 +977,10 @@ _CLASS = rf"{_INT}(?:;{_INT}(?:,{_INT}){{5}}|,{_INT},{_INT})"
 _BAD_RECORD = rf"\n(?![^|\t\n]+\|{_CLASS}\|{_VECTOR}\|{_VECTOR}\t{_INT}(?:\n|\Z))"
 
 
-def cache_save(store: Store, path: str) -> None:
-    """Write the store through a temporary file in the same directory, so a
-    failed or interrupted save leaves the old file as it was."""
-    lines = [CACHE_HEADER]
-    for key in sorted(store):
-        lines.append(f"{key}\t{store[key]}")
-    lines.append(f"#count={len(store)}")
-    target = os.path.realpath(path)  # a symlinked store stays a link
-    tmp = f"{target}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError):
-            raise CacheError(f"cannot write cache file {path!r}: {exc}") from None
-        raise
-
-
-def cache_load(path: str) -> Store:
-    """Read a store, refusing it whole if any record is malformed."""
+def _records(path: str) -> List[str]:
+    """The record lines of a store file, after the checks that concern the
+    file as a whole: that it reads as UTF-8, its header and its record
+    count."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -1015,14 +1000,69 @@ def cache_load(path: str) -> Store:
             f"cache file {path!r} is truncated: {len(records)} records, "
             f"trailer says {count}"
         )
-    body = "\n".join(["", *records])  # each record after a newline
+    return records
+
+
+def _prefixes(surface_ids: Iterable[str]) -> Tuple[str, ...]:
+    # a surface id holds no "|", so the prefix names exactly its records
+    return tuple(f"{sid}|" for sid in surface_ids)
+
+
+def cache_save(
+    store: Store, path: str, *, surface_ids: Optional[Iterable[str]] = None
+) -> None:
+    """Write the store through a temporary file in the same directory, so a
+    failed or interrupted save leaves the old file as it was.
+
+    With surface_ids the store holds only those surfaces' records: the
+    file is read again, with cache_load's whole-file checks, and its lines
+    of every other surface are written back byte for byte.  The lines are
+    sorted, which for valid keys is the order of the keys (a tab sorts
+    below every key character), so the bytes are those of a whole-store
+    save."""
+    if surface_ids is None:
+        lines = [f"{key}\t{store[key]}" for key in sorted(store)]
+    else:
+        own = _prefixes(surface_ids)
+        old = _records(path) if os.path.exists(path) else []
+        lines = sorted([r for r in old if not r.startswith(own)]
+                       + [f"{key}\t{value}" for key, value in store.items()])
+    text = "\n".join([CACHE_HEADER, *lines, f"#count={len(lines)}"]) + "\n"
+    target = os.path.realpath(path)  # a symlinked store stays a link
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise CacheError(f"cannot write cache file {path!r}: {exc}") from None
+        raise
+
+
+def cache_load(path: str, *, surface_ids: Optional[Iterable[str]] = None) -> Store:
+    """Read the records of the given surfaces, or of all without
+    surface_ids.  The file, its header and its record count are checked
+    whole, the records read one by one: a malformed one is refused, named
+    by its line in the file, and other surfaces' lines are not checked."""
+    records = lines = _records(path)
+    if surface_ids is not None:
+        own = _prefixes(surface_ids)
+        lines = [r for r in records if r.startswith(own)]
+    body = "\n".join(["", *lines])  # each record after a newline
     bad = re.search(_BAD_RECORD, body)
     if bad:
-        lineno = body.count("\n", 0, bad.start()) + 2
+        # the first equal line of the file is this one: an earlier copy
+        # would have been read, and refused, first
+        lineno = records.index(lines[body.count("\n", 0, bad.start())]) + 2
         raise CacheError(f"malformed cache record at line {lineno}")
     store: Store = {}
     try:
-        for line in records:
+        for line in lines:
             key, _, value = line.rpartition("\t")
             store[key] = int(value)
     except ValueError as exc:  # more digits than int() converts

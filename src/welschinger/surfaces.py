@@ -302,7 +302,11 @@ def _make_p2(
     if a + 2 * b == 6:
         n_real, derived = a, tuple(sorted(blowdown))
         for j in derived:
-            if j < 3 or j > 6:
+            if j < 1 or j > 6:
+                raise ValidationError(
+                    f"cannot blow down index {j}: the lattice has E1..E6"
+                )
+            if j < 3:
                 raise ValidationError(
                     f"cannot blow down index {j}: indices 1, 2 support E"
                 )

@@ -264,6 +264,59 @@ def test_malformed_cache_key_is_validation_error(capsys, tmp_path):
         assert "malformed cache record at line 2" in err
 
 
+def _two_surface_store(capsys, path):
+    """A store written by B1/F and P2[2,2] runs; B1/F's lines come first."""
+    for surface in (["B1", "--twist", "F"], ["P2[2,2]"]):
+        code, _, _ = run(capsys, "compute", "--surface", *surface, "--class", "-K",
+                         "--cache", str(path))
+        assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("B1/tF/") and lines[-2].startswith("P2[2,2]/")
+    return lines
+
+
+# a malformed record of P2[2,2]: its surface id is whole, its class not
+P22_GARBAGE = "P2[2,2]/t0/bd-/E1;1,1,0,0,0,0|garbage|0|1:1\t4"
+
+
+def _append_record(path, lines, record):
+    """Write the store's lines with record as its last record; its line."""
+    lines = lines[:-1] + [record, f"#count={len(lines) - 1}"]
+    path.write_text("\n".join(lines) + "\n")
+    return len(lines) - 1
+
+
+def test_malformed_own_record_after_other_surfaces_is_validation_error(
+    capsys, tmp_path
+):
+    path = tmp_path / "store.txt"
+    lines = _two_surface_store(capsys, path)
+    # line 11 of the file, the sixth of P2[2,2]'s section
+    lineno = _append_record(path, lines, P22_GARBAGE)
+    assert lineno == 11
+    code, out, err = run(capsys, "compute", "--surface", "P2[2,2]", "--class", "-K",
+                         "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert f"malformed cache record at line {lineno}" in err
+
+
+def test_malformed_record_of_another_surface_is_carried(capsys, tmp_path):
+    path = tmp_path / "store.txt"
+    lines = _two_surface_store(capsys, path)
+    _append_record(path, lines, P22_GARBAGE)
+    argv = ["compute", "--surface", "B1", "--twist", "F", "--class", "-2K"]
+    code, want, _ = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--cache", str(path))  # adds records
+    assert (code, out) == (0, want)
+    after = path.read_text().splitlines()
+    assert len(after) > len(lines) + 1 and P22_GARBAGE in after
+    assert cache_load(str(path), surface_ids=["B1/tF/bd-/E1,0,0"])
+    code, out, err = run(capsys, "cache", "info", str(path))
+    assert (code, out) == (3, "")
+    assert f"malformed cache record at line {after.index(P22_GARBAGE) + 1}" in err
+
+
 def test_unwritable_cache_is_validation_error(capsys, tmp_path):
     path = tmp_path / "missing-dir" / "store.txt"
     code, out, err = run(capsys, "compute", "--surface", "B1", "--twist", "F",
@@ -289,6 +342,16 @@ def test_failed_save_keeps_old_store(capsys, tmp_path, monkeypatch):
     assert "disk full" in err
     assert path.read_bytes() == written
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
+
+@pytest.mark.parametrize("index, reason", [("0", "the lattice has E1..E6"),
+                                           ("9", "the lattice has E1..E6"),
+                                           ("1", "indices 1, 2 support E")])
+def test_blowdown_index_validation_names_the_reason(capsys, index, reason):
+    code, out, err = run(capsys, "compute", "--surface", "P2[6,0]", "--class", "-K",
+                         "--blowdown", index, "--no-cache")
+    assert (code, out) == (3, "")
+    assert f"cannot blow down index {index}: {reason}" in err
 
 
 @pytest.mark.parametrize("text", ["-0K", "-00K"])
@@ -334,7 +397,7 @@ def test_warm_compute_does_not_rewrite_store(capsys, tmp_path, monkeypatch):
     assert code == 0
     written = path.read_bytes()
     saves = []
-    monkeypatch.setattr(cli, "cache_save", lambda store, p: saves.append(len(store)))
+    monkeypatch.setattr(cli, "cache_save", lambda store, p, **_: saves.append(len(store)))
     code, warm, _ = run(capsys, *argv, "--class", "-2K")
     assert code == 0 and warm == cold
     assert saves == []

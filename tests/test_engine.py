@@ -806,6 +806,58 @@ def test_cache_file_errors(tmp_path):
             cache_load(str(notint))
 
 
+def _four_surface_store(path):
+    specs = [make_surface("B1", twist="F"), make_surface("P2", 6, 0),
+             make_surface("P2", 4, 1), make_surface("P2", 2, 2)]
+    store = {}
+    for spec in specs:
+        ev = Evaluator(spec)
+        welschinger(spec, spec.parse_class("-K"), ev)
+        ev.dump(store)
+    cache_save(store, str(path))
+    return specs, store
+
+
+def test_section_load_and_save_agree_with_the_whole_store(tmp_path):
+    # the whole-store load and save are the oracle of the section ones
+    path = tmp_path / "store.txt"
+    specs, whole = _four_surface_store(path)
+    sids = [spec.surface_id for spec in specs]
+    assert cache_load(str(path)) == whole
+    for r in range(len(sids) + 1):
+        for chosen in itertools.combinations(sids, r):
+            assert cache_load(str(path), surface_ids=chosen) == {
+                k: v for k, v in whole.items() if k.split("|", 1)[0] in chosen
+            }
+    oracle = tmp_path / "oracle.txt"
+    for spec in specs:
+        section = cache_load(str(path), surface_ids=[spec.surface_id])
+        ev = Evaluator(spec, section)
+        welschinger(spec, spec.parse_class("-2K"), ev)
+        ev.dump(section)
+        full = cache_load(str(path))
+        full.update(section)
+        cache_save(full, str(oracle))
+        before = path.stat().st_size
+        cache_save(section, str(path), surface_ids=[spec.surface_id])
+        assert path.read_bytes() == oracle.read_bytes()
+        assert path.stat().st_size > before
+
+
+def test_interleaved_writers_of_two_surfaces_keep_both(tmp_path):
+    path = tmp_path / "store.txt"
+    (spec_a, _, _, spec_b), whole = _four_surface_store(path)
+    a = cache_load(str(path), surface_ids=[spec_a.surface_id])
+    b = cache_load(str(path), surface_ids=[spec_b.surface_id])
+    for spec, store in ((spec_b, b), (spec_a, a)):  # b saves between a's load and save
+        ev = Evaluator(spec, store)
+        welschinger(spec, spec.parse_class("-2K"), ev)
+        assert ev.misses
+        ev.dump(store)
+        cache_save(store, str(path), surface_ids=[spec.surface_id])
+    assert cache_load(str(path)) == {**whole, **a, **b}
+
+
 def test_save_through_symlink_replaces_its_target(tmp_path):
     spec = make_surface("B1", twist="F")
     ev = Evaluator(spec)
