@@ -70,15 +70,17 @@ rather than a cache read-back.
 Each route also keeps one factor table: a block of picks for every
 candidate class, sorted by (-K degree, coords).  Candidacy depends
 only on the class and its degree, so the candidates under a smaller
-anticanonical budget are the table's prefix of degree <= budget.  A state
-draws only on the candidates in the box of its c = 0 target D - E (see
-_local_blocks), and the boxes of the states below a key nest inside the
-key's own.  So the first table a route builds holds only the candidates
-in the box of the key that asked for it, at its budget: a cold evaluation
-enumerates once, and only what it can use.  A state outside that box or
-budget switches the table to the whole cone at the larger budget, reusing
-the blocks already built; a whole-cone table grows by the blocks of its
-new degrees, so a warm evaluator ends with the whole cone.
+anticanonical budget are the table's prefix of degree <= budget.  A block
+b enters a complete collection of a key only if t - b is feasible
+(picard.feasible: a coordinate fit and the 27 conic inequalities), where
+t = D - E is the key's c = 0 target, and the key's target covers those of
+every state below it (the proof is at _table).  So the first table a route
+builds holds only the candidates of the target of the key that asked for
+it, at its budget: a cold evaluation enumerates once, and only what it can
+use.  A state the table does not cover switches it to the whole cone at
+the larger budget, reusing the blocks already built; a whole-cone table
+grows by the blocks of its new degrees, so a warm evaluator ends with the
+whole cone.
 A class's options depend on the class only through its E-degree and its
 dimensions n_i = (-K.D - E.D - 1) + |beta|, so each E-degree has one
 sorted template of tangency decorations (alpha, beta and the marked
@@ -88,22 +90,17 @@ one per option and marked branch, each with the index where a collection
 holding it continues.
 
 The factor search is one loop over the blocks in table order and their
-picks from that index on.  Before it descends into a block it tests the
-fit on the coordinates, the remainder t - b passing _feasible (rank 7:
+picks from that index on.  Before it descends into a block it tests that
+the remainder t - b is feasible, the coordinate fit first (rank 7:
 b_0 <= t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3;
 rank 3: b_i <= t_i), or, where the block uses up the E-degree or the -K
-degree, b = t.  Only a block that fits gets its remainder built.  On rank
-7 the remainder must then pass the conic cut: writing it dL - sum m_i E_i,
-d >= max m_i, 2d >= the sum of the four largest m_i and 3d >= sum m_i +
-max m_i.  These say that it meets each of the 27 conic classes -K - l (l a
-line) non-negatively, which every sum of candidates does: a conic is nef
-and a sum of two lines, a candidate is a line or nef (the proof is at
-_feasible, which applies the same cut to the root).  The cut drops about
-three quarters of the fitting remainders of a cold P2[6,0] -3K before
-their picks are walked, and with them the factor values those picks would
-have read; it never fired on the cubic's rank-3 lattice, which keeps the
-fit test alone.  A pick whose remainder would fail the beta balance
-I(beta_rem) <= E.t_rem - 1 is skipped before any generator is made for it.
+degree, b = t.  Only a block that fits gets its remainder built, and on
+rank 7 the remainder must then pass the conic half of the test.  That cut
+drops about three quarters of the fitting remainders of a cold P2[6,0]
+-3K before their picks are walked, and with them the factor values those
+picks would have read; the cubic's rank-3 test has no conic half.  A
+pick whose remainder would fail the beta balance I(beta_rem) <= E.t_rem -
+1 is skipped before any generator is made for it.
 """
 
 from __future__ import annotations
@@ -118,7 +115,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CacheError, InternalCheckError, ValidationError
-from .picard import DivisorClass, candidate_factors, class_to_str
+from .picard import DivisorClass, candidate_factors, class_to_str, feasible
 from .surfaces import SurfaceSpec
 from .tangency import (
     TangencyVector,
@@ -259,9 +256,9 @@ class _Route:
     # E-degree, its -K degree, weight)
     pair_subsets: Tuple[Tuple[Tuple[str, ...], Tuple[int, ...], int, int, int], ...]
     rigid_lines_only: bool  # rigid factors must be real lines other than E
-    # (budget, box or None for the whole cone, blocks of every candidate of
-    # -K degree <= budget inside the box); only ever replaced whole, see
-    # Evaluator._table
+    # (budget, c = 0 target or None for the whole cone, blocks of every
+    # candidate of -K degree <= budget the target can hold); only ever
+    # replaced whole, see Evaluator._table
     table: Tuple[int, Optional[Tuple[int, ...]], Tuple[_Block, ...]] = (0, None, ())
     store: Optional[Store] = None  # read on a memo miss; full route only
 
@@ -385,9 +382,9 @@ class Evaluator:
     keyed by canonical value-determining keys, so concurrent use from
     several threads converges to identical contents.  A route's factor
     table is never mutated in place: switching it to the whole cone or
-    growing it builds a new tuple and replaces the route's (budget, box,
+    growing it builds a new tuple and replaces the route's (budget, target,
     blocks) triple in one assignment, so a reader holds either the old
-    table or the new one, each complete for the budget and box it records,
+    table or the new one, each complete for the budget and target it records,
     and searches the one it was handed for its own request.
     """
 
@@ -421,6 +418,7 @@ class Evaluator:
         # The reduced route of the twisted cubic; subsets[0] is the empty one.
         self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
+        self._cubic = spec.lattice.model == "cubic"
         # The split sum's targets D - E + c (K + E), on coordinates; their -K
         # degree moves by _ke_antik per unit of c.
         ke = spec.k_plus_e()
@@ -657,34 +655,57 @@ class Evaluator:
     # -- factor enumeration ----------------------------------------------------------
 
     def _table(
-        self, route: _Route, budget: int, box: Optional[Tuple[int, ...]]
+        self, route: _Route, budget: int, target: Optional[Tuple[int, ...]]
     ) -> Tuple[_Block, ...]:
         """The route's factor table, made to cover the candidates of -K
-        degree <= `budget` inside `box` (None: the whole cone; see
-        picard.in_box).
+        degree <= `budget` that a key with c = 0 target `target` can use
+        (None: every candidate, the whole cone).
 
-        The first table a route builds holds the box of the key that asked
-        for it.  A request it does not cover switches the table to the whole
-        cone at the larger budget; the blocks already built are reused, not
-        stamped again, and the table is replaced whole.  Blocks ascend in
-        (-K degree, coords), so the search can stop at the first block over
-        its budget.
+        A block b enters a complete collection of the key (D, alpha, beta)
+        only if t - b is feasible (picard.feasible), t = D - E.  The
+        collection sums to a target T = t + c (K + E) - P with c >= 0 and P
+        a pair subset's class sum, so t - b = (T - b) - c (K + E) + P, where
+        T - b is a sum of candidates and feasible.  On rank 7 every pair
+        member is a line and so meets each conic C = -K - l >= 0, and
+        (K + E).C = -2 + E.C <= 0 as E.C = 1 - E.l <= 2: all three terms
+        meet C >= 0.  On the coordinates K + E = (-2, 0, 0, 1, 1, 1, 1), and
+        P_0 >= 0 and P_i <= 0 for i >= 3, so (t - b)_0 >= 0 and
+        (t - b)_i <= 0 for i >= 3; every pair sum has P_1 <= 0 except
+        E_1 + E_2, and where E_1 and E_2 are conjugate no candidate has
+        b_1 > 0, so (t - b)_1 <= 1 (alike on slot 2).  On rank 3 every
+        candidate and pair sum is >= 0 and K + E <= 0, so b <= T <= t.
+
+        The first table a route builds holds the candidates of the key that
+        asked for it.  A later request is covered when its budget is no
+        larger and its target t' leaves w = t - t' feasible with slack 0
+        (rank 3: t' <= t): then t - b = (t' - b) + w is feasible for each
+        block b of t'.  The states below a key stay covered: a factor b has
+        target b - E, and t - (b - E) = (t - b) + E, with E.C >= 0 and E =
+        (1, -1, -1, 0, ...) (rank 3: E >= 0); first-sum children keep D.  A request not
+        covered switches the table to the whole cone at the larger budget;
+        the blocks already built are reused, not stamped again, and the
+        table is replaced whole.  Blocks ascend in (-K degree, coords), so
+        the search can stop at the first block over its budget.
         """
-        built, built_box, blocks = route.table
-        if budget <= built and (
-            built_box is None
-            or box is not None and all(map(operator.le, box, built_box))
-        ):
-            return blocks
+        built, built_target, blocks = route.table
+        if budget <= built:
+            if built_target is None:
+                return blocks
+            if target is not None and (
+                all(map(operator.le, target, built_target)) if self._cubic
+                else feasible(self.spec.lattice, tuple(
+                    map(operator.sub, built_target, target)), slack=0)
+            ):
+                return blocks
         if built:
-            budget, box = max(budget, built), None
+            budget, target = max(budget, built), None
         spec = self.spec
         mke = spec.minus_k_plus_e()
         old = {b.coords: b for b in blocks}
         new = []
         for cls in candidate_factors(
             spec.lattice, spec.conj_perm, spec.e_class, budget,
-            blocked=spec.candidate_blocked(), box=box,
+            blocked=spec.candidate_blocked(), target=target,
         ):
             # No candidate b lacks picks: its option alpha = 0, beta =
             # (E.b) theta_1 has n = -K.b - 1, >= 1 off the lines (no nef class
@@ -702,7 +723,7 @@ class Evaluator:
             new.append(blk)
         new.sort(key=lambda b: (b.antik, b.coords))
         blocks = tuple(new)
-        route.table = (budget, box, blocks)
+        route.table = (budget, target, blocks)
         return blocks
 
     def _picks(
@@ -736,39 +757,20 @@ class Evaluator:
     def _local_blocks(
         self, route: _Route, budget: int, tc: Tuple[int, ...]
     ) -> Tuple[_Block, ...]:
-        """Blocks that can fit under the largest target of one evaluation.
+        """The table's blocks of -K degree <= budget that fit the c = 0
+        target t = D - E of one evaluation on the coordinates: b_0 <= t_0,
+        b_i >= t_i - 1 for i = 1, 2 and b_i >= t_i for i >= 3 on rank 7,
+        b_i <= t_i on rank 3, the coordinate half of feasible(t - b).
 
-        The candidates are those of -K degree <= budget inside the box of
-        the c = 0 target t = D - E: b_0 <= t_0, b_i >= t_i - 1 for i = 1, 2
-        and b_i >= t_i for i >= 3 on rank 7 (degree at most d(t);
-        multiplicities at most m_i(t), with one unit of slack on the two
-        slots whose exceptional curves are themselves rigid, once-only
-        candidates), b_i <= t_i on rank 3.
-
-        Every block of a complete collection lies in that box.  A collection
-        sums to T = t + c (K + E) - P with c >= 0 and P a pair subset's
-        class sum, so each block b is T minus the other blocks.  On rank 7
-        the other blocks have degree >= 0 and b_i <= 0 for i >= 3, K + E =
-        (-2, 0, 0, 1, 1, 1, 1), and every pair sum has P_0 >= 0 and P_i <= 0
-        for i >= 3: so b_0 <= T_0 <= t_0 and b_i >= T_i >= t_i.  On slot 1
-        (and alike 2) the other blocks add at most the +1 of the once-only
-        E_1, so b_1 >= T_1 - 1 = t_1 - P_1 - 1.  Every pair sum has P_1 <= 0
-        except E_1 + E_2, and where E_1 and E_2 are conjugate no candidate
-        has b_1 > 0, so there b_1 >= T_1 >= t_1 - 1.  On rank 3 every
-        candidate and pair sum is >= 0 and K + E <= 0, so b <= T <= t.
-
-        The boxes nest: a factor b from the box of D - E has its own box,
-        that of b - E, inside it, and a smaller budget; first-sum children
-        keep D.  So every state below a key finds its blocks in the key's
-        box, and a route's first table can hold that box alone.
+        The table holds the candidates of this target or of one covering it
+        (see _table), so every block of a complete collection is among
+        them.  The conic half of the test is left to the search, which
+        meets it at the root and after each descent: tested here per state,
+        it costs more than it saves.
         """
-        cubic = self.spec.lattice.model == "cubic"
-        if cubic:
-            box = tc
-        else:  # caps on d; m_1, ..., m_6
-            box = (tc[0], 1 - tc[1], 1 - tc[2], -tc[3], -tc[4], -tc[5], -tc[6])
+        cubic = self._cubic
         kept = []
-        for b in self._table(route, budget, box):
+        for b in self._table(route, budget, tc):
             if b.antik > budget:
                 break
             bc = b.coords
@@ -806,13 +808,13 @@ class Evaluator:
         each; the blocks of the reduced route further restrict them to real
         lines other than E carrying a single simple moving branch.
         """
-        if not self._feasible(t_root):
+        if not feasible(self.spec.lattice, t_root):
             return
         zero_t = self._zero_coords
         ibm0 = iweight(bm_target)
         if t_root != zero_t and (te0 < 1 or ak0 < 1 or ibm0 > te0 - 1):
             return
-        cubic = self.spec.lattice.model == "cubic"
+        cubic = self._cubic
         n_blocks = len(blocks)
         memo = route.memo
         value_of = self._value
@@ -852,7 +854,7 @@ class Evaluator:
                 # A nonzero remainder needs both degrees >= 1, so at a zero
                 # degree only the block that is the whole remainder goes on,
                 # and it must use up beta.  Otherwise the block fits when
-                # t_rem - c is feasible (see _feasible): the fit is tested on
+                # t_rem - c is feasible (picard.feasible): the fit is tested on
                 # the coordinates before the remainder is built, and on rank
                 # 7 the conic cut on the remainder after.  A pick then keeps
                 # the beta balance of the nonzero remainder, ibm_d >= ibm_lo.
@@ -877,8 +879,7 @@ class Evaluator:
                         t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
                         t4 - c[4], t5 - c[5], t6 - c[6],
                     )
-                    # the conic cut: with u = sorted raw E_i coefficients,
-                    # min(d, -K.t) >= max m_i = -u[0] and -K.t - d >= u[4] + u[5]
+                    # the conic half of picard.feasible, inlined
                     u = sorted(new_t[1:])
                     d_new = new_t[0]
                     if (
@@ -913,47 +914,6 @@ class Evaluator:
         yield from dfs(
             0, 0, t_root, te0, ak0, alpha_budget, bm_target, ibm0, ns_target, [],
         )
-
-    def _feasible(self, t_rem: Tuple[int, ...]) -> bool:
-        """Cheap necessary conditions for t_rem to split into candidates.
-
-        On the cubic every candidate has non-negative line coordinates.  On
-        rank 7 the raw E_i coefficients of candidates are <= 0 except the
-        once-only exceptional factors E_1, E_2 themselves, so t_0 >= 0,
-        t_1, t_2 <= 1 and t_i <= 0 for i >= 3.
-
-        The conic cut (rank 7).  Write t = dL - sum m_i E_i (m_i = -t_i).
-        Its intersections with the 27 conic classes -K - l, l a line, are
-
-            (L - E_i).t                 = d - m_i
-            (2L - four of the E_k).t    = -K.t - d + m_a + m_b
-            (3L - 2E_i - others).t      = -K.t - m_i
-
-        (a, b the two slots the second conic omits), so t meets every conic
-        non-negatively exactly when d >= max m, 2d >= the four largest m_i
-        and 3d >= sum m + max m: min(d, -K.t) >= max m and -K.t - d >= the
-        two largest t_i.  Every sum of candidates passes.  A conic C = -K - l
-        is nef, since C.l = 2 and C.l' = 1 - l.l' >= 0 for another line l'
-        (distinct lines meet at most once), and it is the sum of two lines,
-        l' + l'' with l + l' + l'' = -K.  So a line candidate meets C >= 0 as
-        an effective class, and a nef candidate meets C = l' + l'' >= 0,
-        since the nef test asks D.l' >= 0 on all 27 lines.  That covers
-        every candidate: the once-only E_1 and E_2 are lines, and a
-        blown-down slot only makes a candidate's coordinate there zero, the
-        class staying a line or nef on the rank-7 lattice.  A pair subset's
-        class is taken off the target before the search, so the remainder
-        is a sum of candidates alone.
-        """
-        if self.spec.lattice.model == "cubic":
-            return t_rem[0] >= 0 and t_rem[1] >= 0 and t_rem[2] >= 0
-        d = t_rem[0]
-        if d < 0 or t_rem[1] > 1 or t_rem[2] > 1:
-            return False
-        if t_rem[3] > 0 or t_rem[4] > 0 or t_rem[5] > 0 or t_rem[6] > 0:
-            return False
-        u = sorted(t_rem[1:])
-        ak = 3 * d + sum(u)
-        return u[0] + min(d, ak) >= 0 and ak - d >= u[4] + u[5]
 
 
 def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:

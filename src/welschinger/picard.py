@@ -23,6 +23,7 @@ d*L - sum m_i E_i is the tuple (d, -m1, ..., -m6); a rank-3 class is
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -254,14 +255,60 @@ def _parse_antik(text: str) -> int | None:
     return int(body) if body.isdigit() else None
 
 
+def feasible(lat: Lattice, t: Sequence[int], slack: int = 1) -> bool:
+    """Cheap necessary conditions for the raw coordinates t to be a sum of
+    factor candidates (see candidate_factors).
+
+    On the cubic every candidate has non-negative line coordinates.  On
+    rank 7 the raw E_i coefficients of candidates are <= 0 except the
+    once-only exceptional factors E_1, E_2 themselves, so t_0 >= 0,
+    t_1, t_2 <= 1 (the `slack`) and t_i <= 0 for i >= 3.
+
+    The conic cut (rank 7).  Write t = dL - sum m_i E_i (m_i = -t_i).
+    Its intersections with the 27 conic classes -K - l, l a line, are
+
+        (L - E_i).t                 = d - m_i
+        (2L - four of the E_k).t    = -K.t - d + m_a + m_b
+        (3L - 2E_i - others).t      = -K.t - m_i
+
+    (a, b the two slots the second conic omits), so t meets every conic
+    non-negatively exactly when d >= max m_i, 2d >= the sum of the four
+    largest m_i and 3d >= sum m_i + max m_i: min(d, -K.t) >= max m and
+    -K.t - d >= the two largest t_i.  Every sum of candidates passes.  A
+    conic C = -K - l is nef, since C.l = 2 and C.l' = 1 - l.l' >= 0 for
+    another line l' (distinct lines meet at most once), and it is the sum
+    of two lines, l' + l'' with l + l' + l'' = -K.  So a line candidate
+    meets C >= 0 as an effective class, and a nef candidate meets
+    C = l' + l'' >= 0, since the nef test asks D.l' >= 0 on all 27 lines.
+    That covers every candidate: the once-only E_1 and E_2 are lines, and
+    a blown-down slot only makes a candidate's coordinate there zero, the
+    class staying a line or nef on the rank-7 lattice.
+
+    With slack 0 the conditions define a cone: adding a class that passes
+    with slack 0 to one that passes keeps it passing.
+    """
+    if lat.model == "cubic":
+        return t[0] >= 0 and t[1] >= 0 and t[2] >= 0
+    d = t[0]
+    if d < 0 or t[1] > slack or t[2] > slack:
+        return False
+    if t[3] > 0 or t[4] > 0 or t[5] > 0 or t[6] > 0:
+        return False
+    u = sorted(t[1:])
+    ak = 3 * d + sum(u)
+    return u[0] + min(d, ak) >= 0 and ak - d >= u[4] + u[5]
+
+
 def nef_classes_up_to(
     lat: Lattice,
     conj_perm: Tuple[int, ...],
     max_antik: int,
-    box: Optional[Tuple[int, ...]] = None,
+    target: Optional[Tuple[int, ...]] = None,
+    zero_slots: Tuple[int, ...] = (),
 ) -> Tuple[DivisorClass, ...]:
-    """All conjugation-invariant nef classes with 1 <= -K.D <= max_antik,
-    inside `box` when one is given (see in_box).
+    """All conjugation-invariant nef classes D with 1 <= -K.D <= max_antik;
+    with a `target` t only those with t - D feasible (see feasible), and
+    on the rank-7 model only those with m_j = 0 for each j in `zero_slots`.
 
     On the rank-7 model a nef class dL - sum m_i E_i satisfies
     0 <= m_i, m_i + m_j <= d and sum m_i <= 12d/5 (average the six conic
@@ -269,20 +316,24 @@ def nef_classes_up_to(
     d <= 5*max_antik/3 is complete.  For each d the window fixes the total
     S = sum m_i to 3d - max_antik <= S <= min(3d - 1, 12d/5).  Each orbit
     value v keeps v + max m <= d (2v <= d on a conjugate pair), so the E_i
-    and L - E_i - E_j inequalities hold by construction; every later slot
-    is then at most d - max m as well, so a branch that cannot reach the
-    lower end of S even with all of them at that bound holds no class of
-    the window and is cut.  A leaf is nef exactly when the six conic
-    inequalities hold, 2d >= S - min m; only kept leaves become classes.
-    A box caps the degree range and each orbit's value (a conjugate pair
-    takes the smaller cap of its two slots), and the cut then sums the
-    room each later orbit has under its own cap.
-    On the rank-3 model -K.D = d1+d2+d3 bounds every coordinate directly.
+    and L - E_i - E_j inequalities hold by construction.  A target caps
+    the degree at t_0 and m_i at -t_i (plus the slack 1 on m_1 and m_2),
+    the coordinate half of feasible(t - D), and its conics L - E_i give
+    m_i the floor d - t_0 - t_i, as (L - E_i).(t - D) = t_0 - d + t_i +
+    m_i; a zero slot caps m_j at 0, and a conjugate pair takes the
+    smaller cap and the larger floor of its two slots.  Every later slot
+    is at most d - max m and its own cap, so a branch that cannot reach
+    the lower end of S even with all of them there holds no class of the
+    window and is cut.  A leaf is nef exactly when the six conic
+    inequalities hold, 2d >= S - min m; a kept leaf then passes the
+    target's conic half, and only then becomes a class.
+    On the rank-3 model -K.D = d1+d2+d3 bounds every coordinate directly,
+    and a target caps each at t_i, which is all of feasible there.
     """
     found = []
     if lat.model == "cubic":
-        ranges = [range(min(max_antik, cap) + 1) for cap in box or (max_antik,) * 3]
-        for coords in itertools.product(*ranges):
+        caps = target or (max_antik,) * 3
+        for coords in itertools.product(*[range(min(max_antik, c) + 1) for c in caps]):
             d = DivisorClass(coords)
             s = sum(coords)
             if 1 <= s <= max_antik and is_nef(lat, d):
@@ -292,65 +343,63 @@ def nef_classes_up_to(
     # Conjugation-invariance forces m constant on swapped index pairs.
     orbits = _index_orbits(conj_perm)
     deg_top = (5 * max_antik) // 3
-    caps: Optional[list] = None
-    if box is not None:
-        caps = [min(box[1 + i] for i in orbit) for orbit in orbits]
-        if min(caps) < 0:
-            return ()  # every nef class has m_i >= 0
-        deg_top = min(deg_top, box[0])
-        # room_after[k][r]: the most the orbits after the k-th can add when
-        # every slot has room r under its cap
-        room_after = [
-            [
-                sum(len(o) * min(r, c) for o, c in zip(orbits[k + 1:], caps[k + 1:]))
-                for r in range(deg_top + 1)
-            ]
-            for k in range(len(orbits))
+    slot_caps = [deg_top] * 6
+    floors = [deg_top] * len(orbits)  # an orbit's value is >= d - floors[k]
+    if target is not None:
+        t0, te = target[0], target[1:]
+        deg_top = min(deg_top, t0)
+        slot_caps = [(i < 2) - x for i, x in enumerate(te)]
+        floors = [t0 + min(te[i] for i in orbit) for orbit in orbits]
+    for j in zero_slots:
+        slot_caps[j - 1] = min(slot_caps[j - 1], 0)
+    caps = [min(slot_caps[i] for i in orbit) for orbit in orbits]
+    if min(caps) < 0:
+        return ()  # every nef class has m_i >= 0
+    # room_after[k][r]: the most the orbits after the k-th can add when
+    # every slot has room r under its cap
+    room_after = [
+        [
+            sum(len(o) * min(r, c) for o, c in zip(orbits[k + 1:], caps[k + 1:]))
+            for r in range(deg_top + 1)
         ]
+        for k in range(len(orbits))
+    ]
     for deg in range(1, deg_top + 1):
         s_lo = 3 * deg - max_antik
         s_hi = min(3 * deg - 1, (12 * deg) // 5)
+        # per orbit: its slots, their count, its least and most value at
+        # this degree (before v + max m <= d) and its room_after row
+        plan = [
+            (o, len(o), max(0, deg - f), min(c, deg // len(o)), row)
+            for o, f, c, row in zip(orbits, floors, caps, room_after)
+        ]
 
-        def rec(orbit_idx: int, m: list, max_m: int, total: int, left: int) -> None:
+        def rec(orbit_idx: int, m: list, max_m: int, total: int) -> None:
             if orbit_idx == len(orbits):
-                if 2 * deg >= total - min(m):
+                if 2 * deg >= total - min(m) and (
+                    target is None
+                    or feasible(lat, (t0 - deg, *map(operator.add, te, m)))
+                ):
                     found.append(DivisorClass([deg] + [-x for x in m]))
                 return
-            orbit = orbits[orbit_idx]
-            left -= len(orbit)
-            top = deg - max_m if len(orbit) == 1 else min(deg - max_m, deg // 2)
-            if caps is not None:
-                top = min(top, caps[orbit_idx])
-            for v in range(top + 1):
-                new_total = total + v * len(orbit)
+            orbit, size, lo, top, room = plan[orbit_idx]
+            if top > deg - max_m:
+                top = deg - max_m
+            for v in range(lo, top + 1):
+                new_total = total + v * size
                 if new_total > s_hi:
                     break
-                new_max = max(max_m, v)
-                if caps is None:
-                    reach = left * (deg - new_max)
-                else:
-                    reach = room_after[orbit_idx][deg - new_max]
-                if new_total + reach < s_lo:
+                new_max = v if v > max_m else max_m
+                if new_total + room[deg - new_max] < s_lo:
                     continue
                 for i in orbit:
                     m[i] = v
-                rec(orbit_idx + 1, m, new_max, new_total, left)
+                rec(orbit_idx + 1, m, new_max, new_total)
             for i in orbit:
                 m[i] = 0
 
-        rec(0, [0] * 6, 0, 0, 6)
+        rec(0, [0] * 6, 0, 0)
     return tuple(sorted(found))
-
-
-def in_box(lat: Lattice, coords: Tuple[int, ...], box: Tuple[int, ...]) -> bool:
-    """Whether a class lies in a box of per-slot caps: on the rank-7 model
-    the caps bound the degree d and each multiplicity m_i of d;m_1,...,m_6,
-    on the rank-3 model each coordinate."""
-    if lat.model == "cubic":
-        return all(x <= cap for x, cap in zip(coords, box))
-    return coords[0] <= box[0] and all(
-        -x <= cap for x, cap in zip(coords[1:], box[1:])
-    )
 
 
 def _index_orbits(conj_perm: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
@@ -373,7 +422,7 @@ def candidate_factors(
     e_class: DivisorClass,
     antik_budget: int,
     blocked: Tuple[DivisorClass, ...] = (),
-    box: Optional[Tuple[int, ...]] = None,
+    target: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[DivisorClass, ...]:
     """Conjugation-invariant classes able to carry a nonzero count as factor.
 
@@ -382,9 +431,12 @@ def candidate_factors(
     representatives; spurious members are harmless because they evaluate
     to zero.  Classes not meeting E positively are dropped, and so is
     anything crossing a class of `blocked`, the exceptional classes of
-    blown-down curves, or lying outside `box` (see in_box).  On the rank-7
-    model a blocked E_j meets dL - sum m_i E_i in m_j, so it caps slot j of
-    the nef enumeration at 0 instead of filtering its output.  The class
+    blown-down curves.  With a `target` t only the candidates b with
+    t - b feasible are kept (see feasible): the engine passes the c = 0
+    target D - E of a key, whose factor collections draw on no other
+    candidate (see engine.Evaluator._table).  On the rank-7 model a
+    blocked E_j meets dL - sum m_i E_i in m_j, so it holds slot j of the
+    nef enumeration at 0 instead of filtering its output.  The class
     -(K+E) is kept here, its exclusion as a factor is enforced at the use
     site.
     """
@@ -398,22 +450,19 @@ def candidate_factors(
             continue
         if any(lat.intersect(line, b) != 0 for b in blocked):
             continue
-        if box is not None and not in_box(lat, line.coords, box):
+        if target is not None and not feasible(
+            lat, tuple(map(operator.sub, target, line.coords))
+        ):
             continue
         out.append(line)
-    caps = box
-    crossing = blocked  # the blocked classes the enumeration does not cap
-    if lat.model == "p2" and blocked:
-        # every nef class of the window has d, m_i <= 5 * antik_budget / 3
-        caps = list(box or [(5 * antik_budget) // 3] * 7)
-        crossing = []
-        for b in blocked:
-            if b in lat.lines[:6]:  # E_j, whose slot j holds m_j
-                j = b.coords.index(1)
-                caps[j] = min(caps[j], 0)
-            else:
-                crossing.append(b)
-    for d in nef_classes_up_to(lat, conj_perm, antik_budget, caps):
+    zero_slots, crossing = (), blocked  # crossing: the blocked classes filtered here
+    if lat.model == "p2":
+        exceptional = lat.lines[:6]  # E_j, whose slot j holds m_j
+        zero_slots = tuple(
+            1 + exceptional.index(b) for b in blocked if b in exceptional
+        )
+        crossing = tuple(b for b in blocked if b not in exceptional)
+    for d in nef_classes_up_to(lat, conj_perm, antik_budget, target, zero_slots):
         if lat.intersect(d, e_class) < 1:
             continue
         if any(lat.intersect(d, b) != 0 for b in crossing):

@@ -22,7 +22,7 @@ from welschinger import cli
 from welschinger.errors import CacheError, ValidationError
 from welschinger.invariants import top_key, welschinger
 from welschinger.picard import (
-    P2_LATTICE, DivisorClass, candidate_factors, in_box, nef_classes_up_to,
+    P2_LATTICE, DivisorClass, candidate_factors, feasible, nef_classes_up_to,
 )
 from welschinger.surfaces import make_surface
 from welschinger.tangency import TangencyVector, iweight, norm, odd_partitions, theta
@@ -246,8 +246,8 @@ class _ShuffledEvaluator(Evaluator):
         super().__init__(spec)
         self._seed = seed
 
-    def _table(self, route, budget, box):
-        blocks = list(super()._table(route, budget, box))
+    def _table(self, route, budget, target):
+        blocks = list(super()._table(route, budget, target))
         random.Random(self._seed).shuffle(blocks)
         blocks.sort(key=lambda b: b.antik)  # stable: shuffled within a degree
         return tuple(blocks)
@@ -255,11 +255,11 @@ class _ShuffledEvaluator(Evaluator):
 
 def test_shuffled_table_moves_blocks_only_within_a_degree():
     spec = make_surface("P2", 2, 2)
-    # the whole cone, and the box of -2K's c = 0 target (caps on d; m_1..m_6)
-    for box in (None, (5, 2, 2, 2, 2, 2, 2)):
-        plain = Evaluator(spec)._table(Evaluator(spec)._full, 6, box)
+    # the whole cone, and the candidates of -2K's c = 0 target
+    for target in (None, _target(spec, "-2K")):
+        plain = Evaluator(spec)._table(Evaluator(spec)._full, 6, target)
         shuffled = _ShuffledEvaluator(spec, 1)
-        scrambled = shuffled._table(shuffled._full, 6, box)
+        scrambled = shuffled._table(shuffled._full, 6, target)
         assert scrambled != plain
         assert [b.antik for b in scrambled] == [b.antik for b in plain]
         for deg in {b.antik for b in plain}:
@@ -394,12 +394,12 @@ class _LinearScanEvaluator(Evaluator):
     inline fit test of Evaluator._factor_multisets replaced.  It takes the
     target's degrees from the lattice, and checks the ones it is handed.
     It searches every candidate of the whole cone up to the budget, not
-    only the blocks in the box of the c = 0 target, so it also checks that
-    no complete collection uses a block outside that box.  It regroups each
-    block's picks by option and walks the options and their gammas in loops
-    of its own, with the rule the picks' restart indices replaced: a
-    collection restarts at its last (option, gamma), and a rigid option
-    (n_i = 0, alpha = 0) is taken at most once."""
+    only the blocks the table holds for the c = 0 target, so it also checks
+    that no complete collection uses a block the target leaves out.  It
+    regroups each block's picks by option and walks the options and their
+    gammas in loops of its own, with the rule the picks' restart indices
+    replaced: a collection restarts at its last (option, gamma), and a
+    rigid option (n_i = 0, alpha = 0) is taken at most once."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -546,17 +546,17 @@ def test_root_cut_is_the_fit_and_the_27_conics(t):
     want = _splittable(spec, t) and all(
         P2_LATTICE.intersect(DivisorClass(t), c) >= 0 for c in _CONICS
     )
-    assert Evaluator(spec)._feasible(t) == want
+    assert feasible(spec.lattice, t) == want
 
 
 def _counted_candidates(monkeypatch):
-    """Record the (budget, box) of every candidate_factors call the engine
-    makes."""
+    """Record the (budget, target) of every candidate_factors call the
+    engine makes."""
     calls = []
     real = engine.candidate_factors
 
     def counted(lat, conj_perm, e_class, budget, **kwargs):
-        calls.append((budget, kwargs.get("box")))
+        calls.append((budget, kwargs.get("target")))
         return real(lat, conj_perm, e_class, budget, **kwargs)
 
     monkeypatch.setattr(engine, "candidate_factors", counted)
@@ -567,10 +567,9 @@ def test_cold_eval_enumerates_candidates_once(monkeypatch):
     calls = _counted_candidates(monkeypatch)
     spec = make_surface("P2", 6, 0)
     assert welschinger(spec, spec.parse_class("-2K"), Evaluator(spec)) == 1000
-    # The top key's -K.(D - E) and the box of D - E = 5L - E1 - E2 -
-    # 2(E3 + ... + E6): d <= 5, m_1, m_2 <= 1 + 1 and m_i <= 2; every state
-    # below it lies in that box.
-    assert calls == [(5, (5, 2, 2, 2, 2, 2, 2))]
+    # The top key's -K.(D - E) and its c = 0 target D - E = 5L - E1 - E2 -
+    # 2(E3 + ... + E6); every state below it is covered by that target.
+    assert calls == [(5, (5, -1, -1, -2, -2, -2, -2))]
 
 
 def _table_rows(blocks):
@@ -580,22 +579,38 @@ def _table_rows(blocks):
     ]
 
 
+def _target(spec, text):
+    """The c = 0 target D - E of a class, on the coordinates."""
+    return (spec.parse_class(text) - spec.e_class).coords
+
+
 def _fits(spec, coords, t):
-    """Whether a class fits under the c = 0 target t, written out apart
-    from the engine: rank 7 b_0 <= t_0, b_i >= t_i - 1 for i = 1, 2 and
-    b_i >= t_i for i >= 3; rank 3 b_i <= t_i."""
+    """Whether a class can be a factor under the c = 0 target t, written
+    out apart from the engine: t minus the class fits on the coordinates
+    (rank 7 b_0 <= t_0, b_i >= t_i - 1 for i = 1, 2 and b_i >= t_i for
+    i >= 3; rank 3 b_i <= t_i) and, on rank 7, meets each of the 27 conics
+    -K - l non-negatively."""
     if spec.lattice.model == "cubic":
         return all(b <= x for b, x in zip(coords, t))
+    rem = DivisorClass(t) - DivisorClass(coords)
     return (
         coords[0] <= t[0]
         and all(b >= x - 1 for b, x in zip(coords[1:3], t[1:3]))
         and all(b >= x for b, x in zip(coords[3:], t[3:]))
+        and all(spec.lattice.intersect(rem, c) >= 0 for c in _CONICS)
     )
 
 
 def test_grown_table_equals_direct_table():
-    for spec in (make_surface("P2", 4, 1), make_surface("B1", twist="F")):
-        box = (2,) * spec.lattice.rank
+    p2 = make_surface("P2", 4, 1)
+    cases = (
+        # a first target, one it covers (its difference is the line
+        # L - E5 - E6), and one it does not: 3L - 3E3 leaves slot 3 of -K's
+        (p2, _target(p2, "-K"), _target(p2, "2;1,1,1,1,0,0"),
+         _target(p2, "3;0,0,3,0,0,0")),
+        (make_surface("B1", twist="F"), (0, 2, 2), (0, 1, 1), (1, 1, 1)),
+    )
+    for spec, target, inside, outside in cases:
         for route in ("_full", "_reduced"):
             # whole-cone tables grow by their new degrees
             grown = Evaluator(spec)
@@ -607,23 +622,23 @@ def test_grown_table_equals_direct_table():
             direct = Evaluator(spec)
             want = direct._table(getattr(direct, route), 6, None)
             assert _table_rows(big) == _table_rows(want)
-            # a smaller budget or any box reads the whole cone, unchanged
+            # a smaller budget or any target reads the whole cone, unchanged
             assert grown._table(getattr(grown, route), 2, None) is big
-            assert grown._table(getattr(grown, route), 4, box) is big
-            # a first table holds its box; leaving the box switches to the
-            # whole cone, reusing the blocks already built
-            boxed_ev = Evaluator(spec)
-            boxed = boxed_ev._table(getattr(boxed_ev, route), 3, box)
-            assert getattr(boxed_ev, route).table == (3, box, boxed)
-            assert _table_rows(boxed) == _table_rows(
-                [b for b in small if in_box(spec.lattice, b.coords, box)]
+            assert grown._table(getattr(grown, route), 4, target) is big
+            # a first table holds its target's candidates; a target it does
+            # not cover switches to the whole cone, reusing the blocks built
+            targeted_ev = Evaluator(spec)
+            targeted = targeted_ev._table(getattr(targeted_ev, route), 3, target)
+            assert getattr(targeted_ev, route).table == (3, target, targeted)
+            assert 0 < len(targeted) < len(small)
+            assert _table_rows(targeted) == _table_rows(
+                [b for b in small if _fits(spec, b.coords, target)]
             )
-            inside = (1,) * spec.lattice.rank
-            assert boxed_ev._table(getattr(boxed_ev, route), 2, inside) is boxed
-            whole = boxed_ev._table(getattr(boxed_ev, route), 2, (3,) * len(box))
-            assert getattr(boxed_ev, route).table == (3, None, whole)
+            assert targeted_ev._table(getattr(targeted_ev, route), 2, inside) is targeted
+            whole = targeted_ev._table(getattr(targeted_ev, route), 2, outside)
+            assert getattr(targeted_ev, route).table == (3, None, whole)
             assert _table_rows(whole) == _table_rows(small)
-            assert all(any(b is w for w in whole) for b in boxed)
+            assert all(any(b is w for w in whole) for b in targeted)
 
 
 def test_cold_table_holds_the_top_key_box(monkeypatch):
@@ -633,19 +648,20 @@ def test_cold_table_holds_the_top_key_box(monkeypatch):
     ev = Evaluator(spec)
     assert welschinger(spec, d, ev) == 1766080
     assert len(calls) == 1
-    t = tuple(x - e for x, e in zip(d.coords, spec.e_class.coords))
+    t = _target(spec, "-3K")
     direct = Evaluator(spec)
     whole = direct._table(direct._full, 8, None)
     want = [b for b in whole if _fits(spec, b.coords, t)]
-    assert ev._full.table[0] == 8
+    assert ev._full.table[:2] == (8, t)
     assert _table_rows(ev._full.table[2]) == _table_rows(want)
-    assert len(want) == 4006 and len(whole) == 11055
+    assert len(want) == 1027 and len(whole) == 11055
 
 
 def test_warm_table_leaving_the_box_switches_to_whole_cone(monkeypatch):
     calls = _counted_candidates(monkeypatch)
     spec = make_surface("P2", 4, 1)
-    # 3L - 3E3 has the budget of -2K but m_3 = 3 above -2K's cap of 2
+    # 3L - 3E3 has the budget of -2K, but its target has m_3 = 3 where
+    # -2K's has 2
     texts = ("-2K", "3;0,0,3,0,0,0", "-K")
     ev = Evaluator(spec)
     got = []
@@ -653,15 +669,146 @@ def test_warm_table_leaving_the_box_switches_to_whole_cone(monkeypatch):
         got.append(welschinger(spec, spec.parse_class(text), ev))
         if text == "-2K":
             first = ev._full.table[2]
-            assert ev._full.table[:2] == (5, (5, 2, 2, 2, 2, 2, 2))
-    assert [box is None for _, box in calls] == [False, True]
-    budget, box, blocks = ev._full.table
-    assert (budget, box) == (5, None)
+            assert ev._full.table[:2] == (5, _target(spec, "-2K"))
+    assert [target is None for _, target in calls] == [False, True]
+    budget, target, blocks = ev._full.table
+    assert (budget, target) == (5, None)
     direct = Evaluator(spec)
     assert _table_rows(blocks) == _table_rows(direct._table(direct._full, 5, None))
     assert all(any(b is w for w in blocks) for b in first)
     fresh = [welschinger(spec, spec.parse_class(text), Evaluator(spec)) for text in texts]
     assert got == fresh
+
+
+def test_warm_table_covers_only_targets_in_its_cone():
+    # A later key is covered by the first key's table only when the
+    # difference of their c = 0 targets passes the coordinate fit with no
+    # slack and meets every conic -K - l >= 0.  Each second key fails one
+    # half of that, and a table that covered it anyway would miss blocks
+    # its collections use and read the value in brackets.
+    spec = make_surface("P2", 6, 0)
+    cases = (
+        # coordinates nest, 2L - E1 - E3 - E4 - E5 meets the difference -1: [0]
+        ("5;2,1,2,1,3,2", "2;0,1,0,0,1,1", 1, False),
+        # the difference is E2, inside the slack of slot 2 only: [7]
+        ("3;0,0,1,1,1,1", "3;0,1,1,1,1,1", 8, True),
+    )
+    for first, second, want, slack_only in cases:
+        w = DivisorClass(_target(spec, first)) - DivisorClass(_target(spec, second))
+        nested = w.coords[0] >= 0 and max(w.coords[1:]) <= 0
+        conic = min(spec.lattice.intersect(w, c) for c in _CONICS)
+        assert (nested, conic >= 0) == ((False, True) if slack_only else (True, False))
+        ev = Evaluator(spec)
+        welschinger(spec, spec.parse_class(first), ev)
+        assert ev._full.table[1] == _target(spec, first)
+        assert welschinger(spec, spec.parse_class(second), ev) == want
+        assert ev._full.table[1] is None  # switched to the whole cone
+        assert welschinger(spec, spec.parse_class(second), Evaluator(spec)) == want
+
+
+# The surfaces the target tables are checked on: name -> (model, a, b,
+# twist, blow-down, E, the -K degree bound of the drawn keys, seed).
+_TARGET_SPECS = {
+    "P2[6,0]": ("P2", 6, 0, "0", (), None, 6, 1),
+    "P2[4,1]": ("P2", 4, 1, "0", (), None, 7, 2),
+    "P2[2,2]": ("P2", 2, 2, "0", (), None, 7, 3),
+    "P2[0,3]": ("P2", 0, 3, "0", (), None, 8, 4),
+    "P2[6,0] --blowdown 5,6": ("P2", 6, 0, "0", (5, 6), None, 6, 5),
+    "B1 --twist F --E 0,1,0": ("B1", 0, 0, "F", (), "0,1,0", 10, 6),
+}
+
+
+def _target_spec(name):
+    model, a, b, twist, blowdown, e_choice, bound, seed = _TARGET_SPECS[name]
+    spec = make_surface(model, a, b, twist=twist, blowdown=blowdown, e_choice=e_choice)
+    return spec, bound, seed
+
+
+def _drawn_keys(spec, bound, seed, count=8):
+    """Seeded keys of -K degree <= bound: nef-big classes with their top
+    tangencies, then internal keys, candidate classes with drawn alpha and
+    beta."""
+    rng = random.Random(seed)
+    tops = sorted(spec.nef_big_classes(bound))
+    keys = [top_key(spec, d) for d in rng.sample(tops, min(count, len(tops)))]
+    inner = candidate_factors(
+        spec.lattice, spec.conj_perm, spec.e_class, bound,
+        blocked=spec.candidate_blocked(),
+    )
+    while len(keys) < 2 * count:
+        d = rng.choice(inner)
+        de = spec.e_degree(d)
+        ia = rng.randint(0, de)
+        alpha = rng.choice(odd_partitions(ia))
+        beta = rng.choice(odd_partitions(de - ia))
+        if spec.r_dim_class(d, norm(beta)) >= 1:
+            keys.append(make_key(spec, d, alpha, beta))
+    return keys
+
+
+@pytest.mark.parametrize("canonicalize", [True, False])
+@pytest.mark.parametrize("name", sorted(_TARGET_SPECS))
+def test_target_tables_match_whole_cone_tables(name, canonicalize):
+    # A fresh evaluator builds each key's own target table; the reference
+    # evaluator's tables are forced to the whole cone before its first key.
+    spec, bound, seed = _target_spec(name)
+    routes = ["_full"]
+    if spec.lattice.model == "cubic" and spec.twist == "F":
+        routes.append("_reduced")
+    whole = Evaluator(spec, canonicalize=canonicalize)
+    for route in routes:
+        whole._table(getattr(whole, route), bound, None)
+    targeted = 0
+    for key in _drawn_keys(spec, bound, seed):
+        for route in routes:
+            fresh = Evaluator(spec, canonicalize=canonicalize)
+            got = fresh._value(getattr(fresh, route), key.d, key.alpha, key.beta)
+            want = whole._value(getattr(whole, route), key.d, key.alpha, key.beta)
+            assert got == want, (key, route)
+            budget, target, _ = getattr(fresh, route).table
+            if budget:
+                assert (budget, target) == (
+                    spec.antik_degree(key.d) - 1, (key.d - spec.e_class).coords
+                )
+                targeted += 1
+    assert targeted >= 5
+    for route in routes:
+        assert getattr(whole, route).table[:2] == (bound, None)
+
+
+@pytest.mark.parametrize("name", sorted(_TARGET_SPECS))
+def test_facts_behind_the_target_tables(name):
+    # A block b of a key with c = 0 target t can appear in a complete
+    # collection only if t - b is feasible, since every candidate and pair
+    # sum meets each conic -K - l >= 0 and (K + E) meets it <= 0 (rank 3:
+    # candidates and pair sums are >= 0, K + E <= 0); a table stays valid
+    # for the states below its key since E meets each conic >= 0 (E >= 0).
+    spec, bound, seed = _target_spec(name)
+    lat, blocked = spec.lattice, spec.candidate_blocked()
+    cands = candidate_factors(lat, spec.conj_perm, spec.e_class, bound, blocked=blocked)
+    pair_sums = [DivisorClass(p[1]) for p in Evaluator(spec)._full.pair_subsets]
+    ke = spec.k_plus_e()
+    if lat.model == "cubic":
+        assert max(ke.coords) <= 0 and min(spec.e_class.coords) >= 0
+        assert all(min(d.coords) >= 0 for d in cands + tuple(pair_sums))
+    else:
+        conics = [-lat.canonical - line for line in lat.lines]
+        assert len(set(conics)) == 27
+        for c in conics:
+            assert lat.intersect(ke, c) <= 0
+            assert lat.intersect(spec.e_class, c) >= 0
+            assert all(lat.intersect(d, c) >= 0 for d in cands + tuple(pair_sums))
+        assert all(m in lat.lines for item in spec.pair_menu for m in item.members)
+    for key in _drawn_keys(spec, bound, seed):
+        budget = spec.antik_degree(key.d) - 1
+        if budget < 1:
+            continue
+        t = (key.d - spec.e_class).coords
+        plain = candidate_factors(lat, spec.conj_perm, spec.e_class, budget, blocked)
+        want = tuple(d for d in plain if _fits(spec, d.coords, t))
+        assert candidate_factors(
+            lat, spec.conj_perm, spec.e_class, budget, blocked, target=t
+        ) == want
 
 
 def test_values_independent_of_table_growth_order():
@@ -682,9 +829,9 @@ def test_values_independent_of_table_growth_order():
 
 def test_concurrent_table_growth():
     # Four threads grow one evaluator's tables from different first keys:
-    # the first table holds one key's box, and the others switch it to the
-    # whole cone and grow it; a torn or lost table would show as a wrong
-    # value.
+    # the first table holds one key's candidates, and the others switch it
+    # to the whole cone and grow it; a torn or lost table would show as a
+    # wrong value.
     spec = make_surface("P2", 2, 2)
     classes = sorted(spec.nef_big_classes(5), key=spec.antik_degree)
     want = {d: welschinger(spec, d, Evaluator(spec)) for d in classes}

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -165,44 +166,56 @@ def test_blocked_candidates():
         assert P2_LATTICE.intersect(d, e_(6)) == 0
 
 
-def _inside(lat, d, box):
-    # rank 7: caps on d; m_1, ..., m_6 (the raw E_i coefficients negated)
+_CONICS = [-P2_LATTICE.canonical - line for line in P2_LATTICE.lines]
+
+
+def _fits(lat, t, d):
+    # t - d is a sum of candidates as far as the coordinates and, on rank
+    # 7, the 27 conics -K - l can tell
+    rem = DivisorClass(t) - d
     if lat.model == "cubic":
-        return all(x <= cap for x, cap in zip(d.coords, box))
-    return d.coords[0] <= box[0] and all(
-        -x <= cap for x, cap in zip(d.coords[1:], box[1:])
+        return min(rem.coords) >= 0
+    r = rem.coords
+    return (
+        r[0] >= 0 and r[1] <= 1 and r[2] <= 1 and max(r[3:]) <= 0
+        and all(lat.intersect(rem, c) >= 0 for c in _CONICS)
     )
+
+
+_nef_classes = functools.lru_cache(maxsize=None)(nef_classes_up_to)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([6, 4, 2, 0, "cubic"]), st.integers(1, 7), st.data())
-def test_boxed_enumeration_equals_filtered_enumeration(pattern, budget, data):
-    # Every conjugation pattern of P2 and the cubic; random caps from -1 to
-    # past the largest coordinate of the window, random blocked lines.
+def test_targeted_enumeration_equals_filtered_enumeration(pattern, budget, data):
+    # Every conjugation pattern of P2 and the cubic; random targets near a
+    # nef class of a slightly larger budget, random blocked lines.
     if pattern == "cubic":
         lat, perm = CUBIC_LATTICE, (0, 1, 2)
         e_cls = CUBIC_LATTICE.lines[data.draw(st.integers(0, 2))]
-        top = budget + 1
         lines = CUBIC_LATTICE.lines
     else:
         lat, perm, e_cls = P2_LATTICE, conj_perm_p2(pattern), E_AUX
-        top = 5 * budget // 3 + 1
-        # E_3, ..., E_6, which cap a slot, and L - E_3 - E_4, which does not
+        # E_3, ..., E_6, which hold a slot at 0, and L - E_3 - E_4, which
+        # does not
         lines = P2_LATTICE.lines[2:6] + (parse_class(P2_LATTICE, "1;0,0,1,1,0,0"),)
-    box = data.draw(
-        st.none() | st.tuples(*[st.integers(-1, top)] * lat.rank), label="box"
+    near = data.draw(st.sampled_from(_nef_classes(lat, perm, budget + 2)))
+    shift = data.draw(st.tuples(*[st.integers(-1, 1)] * lat.rank))
+    target = data.draw(
+        st.none() | st.just(tuple(x + y for x, y in zip(near.coords, shift))),
+        label="target",
     )
     blocked = tuple(data.draw(st.sets(st.sampled_from(lines)), label="blocked"))
     plain = nef_classes_up_to(lat, perm, budget)
-    if box is not None:
-        want = tuple(d for d in plain if _inside(lat, d, box))
-        assert nef_classes_up_to(lat, perm, budget, box) == want
+    if target is not None:
+        want = tuple(d for d in plain if _fits(lat, target, d))
+        assert nef_classes_up_to(lat, perm, budget, target) == want
     want = tuple(
         d for d in candidate_factors(lat, perm, e_cls, budget)
-        if (box is None or _inside(lat, d, box))
+        if (target is None or _fits(lat, target, d))
         and all(lat.intersect(d, b) == 0 for b in blocked)
     )
-    assert candidate_factors(lat, perm, e_cls, budget, blocked, box) == want
+    assert candidate_factors(lat, perm, e_cls, budget, blocked, target) == want
 
 
 coords7 = st.tuples(*[st.integers(min_value=-4, max_value=4)] * 7)
