@@ -34,20 +34,21 @@ step: it yields each summand as a plain tuple with its integer
 contribution.  eval sums the contributions; only expand, which the trace
 prints, turns the same summands into TermRecord/FactorRecord objects.
 
-Values are memoized per relabelling orbit.  A state's value does not change
-under the relabellings that fix E = L - E1 - E2: swapping E1 and E2 when
-both are real, permuting the other real points, and permuting whole
-conjugate pairs, blown-down points left in place.  Each evaluator builds
-one map from its surface (_orbit_map) that sorts the coordinates within
-those groups, and keys its memo by the image, so a state is computed once
-per orbit and its relabelled members read it back.  The factor options
-carry their keys already mapped.  Only the keys change: the recursion
-still enumerates raw classes, so terms, traces and values are those of the
-raw state.  The symmetry factor of a factor collection therefore compares
-the options themselves, never their memo keys: two factors of one orbit
-share a key but are different factors.  On the cubic the map is the
-identity and the key stays the raw coordinates.  `canonicalize=False`
-keys the memo by raw classes, the oracle the relabelling checks need.
+Values are memoized per relabelling orbit, by the surface's one map,
+SurfaceSpec.orbit_map.  Its mode move_e False admits the relabellings that
+fix E = L - E1 - E2, and so a state's value: swapping E1 and E2 when both
+are real, permuting the other real points, and permuting whole conjugate
+pairs with i >= 3, blown-down points left in place.  (The scans' mode
+move_e True also moves E1 and E2: it keeps W(D) but not a state.)  The
+memo is keyed by the image, so a state is computed once per orbit and its
+relabelled members read it back.  The factor options carry their keys
+already mapped.  Only the keys change: the recursion still enumerates raw
+classes, so terms, traces and values are those of the raw state.  The
+symmetry factor of a factor collection therefore compares the options
+themselves, never their memo keys: two factors of one orbit share a key
+but are different factors.  On the cubic the map is the identity and the
+key stays the raw coordinates.  `canonicalize=False` keys the memo by raw
+classes, the oracle the relabelling checks need.
 
 A persistent store (a small versioned text format, one record per line) is
 read on demand: a memo miss of the full route formats the key, with the
@@ -112,7 +113,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CacheError, InternalCheckError, ValidationError
 from .picard import DivisorClass, candidate_factors, class_to_str, feasible
@@ -132,8 +133,8 @@ Store = Dict[str, int]
 
 # One summand of a recursion step, as _summands yields it: (kind, k, l,
 # alpha0, beta0, chosen factors, pair ids, coefficient, contribution).  The
-# chosen factors are (option, gamma, beta - gamma, binomial weight, value)
-# tuples, one per pick of the collection, in pick order.
+# chosen factors are (option, gamma, binomial weight, value) tuples, one per
+# pick of the collection, in pick order.
 Summand = Tuple[
     str, Optional[int], int, TangencyVector, TangencyVector, tuple,
     Tuple[str, ...], int, int,
@@ -283,55 +284,6 @@ def _symmetry_factor(chosen) -> int:
     return sym
 
 
-def _orbit_map(
-    spec: SurfaceSpec,
-) -> Optional[Callable[[Tuple[int, ...]], Tuple[int, ...]]]:
-    """The canonical relabelling of a class's coordinates, or None where
-    every relabelling is the identity.
-
-    The value of a state (D, alpha, beta) depends only on the real structure
-    and on E = L - E1 - E2, so it is unchanged by relabellings that fix E:
-    swapping E1 and E2 when both are real, permuting the real E_i with
-    i >= 3, and permuting whole conjugate pairs (E_i, E_conj(i)) with
-    i >= 3.  Blown-down slots are left alone, since the blow-down singles
-    them out.  The map sorts the coordinates within each of those groups,
-    a pair moving as one unit, so it picks one member of each orbit: the
-    least in tuple order.  The rank-3 lattice of the cubic has no such
-    relabelling.
-    """
-    if spec.lattice.model == "cubic":
-        return None
-    conj = spec.conj_perm
-    free = [i for i in range(3, 7) if i not in spec.blown_down]
-    heads = (1, 2) if spec.n_real >= 2 else ()
-    reals = tuple(i for i in free if i <= spec.n_real)
-    real_groups = [slots for slots in (heads, reals) if len(slots) > 1]
-    pairs = [(i, conj[i]) for i in free if conj[i] > i]
-    if len(pairs) < 2:
-        pairs = []
-    if not real_groups and not pairs:
-        return None
-    # The sorted values are gathered group by group after the fixed slots,
-    # then put back in slot order in one step.
-    moved = [i for slots in real_groups + pairs for i in slots]
-    fixed = [i for i in range(spec.lattice.rank) if i not in moved]
-    order = fixed + moved
-    place = operator.itemgetter(*[order.index(i) for i in range(len(order))])
-    real_gets = [operator.itemgetter(*slots) for slots in real_groups]
-    pair_gets = [operator.itemgetter(*pair) for pair in pairs]
-
-    def canonical(coords: Tuple[int, ...]) -> Tuple[int, ...]:
-        values = [coords[i] for i in fixed]
-        for get in real_gets:
-            values += sorted(get(coords))
-        if pair_gets:
-            for unit in sorted([get(coords) for get in pair_gets]):
-                values += unit
-        return place(values)
-
-    return canonical
-
-
 @functools.lru_cache(maxsize=None)
 def _option_template(e_deg: int) -> Tuple[tuple, ...]:
     """The decorations any candidate class of E-degree `e_deg` can carry, in
@@ -399,7 +351,7 @@ class Evaluator:
         self.misses = 0
         # memo keys are orbit representatives; off, the memo is keyed by raw
         # classes (the oracle the relabelling checks need)
-        self._canon = _orbit_map(spec) if canonicalize else None
+        self._canon = spec.orbit_map() if canonicalize else None
         menu = spec.pair_menu
         subsets = []
         zero = DivisorClass((0,) * spec.lattice.rank)
@@ -460,7 +412,7 @@ class Evaluator:
         ):
             factors = tuple(
                 FactorRecord(opt.cls, opt.alpha, opt.beta, gamma, opt.n_i, value)
-                for opt, gamma, _, _, value in chosen
+                for opt, gamma, _, value in chosen
             )
             record = TermRecord(
                 kind, k, l, alpha0, beta0, factors, pair_ids, coeff, contribution
@@ -625,7 +577,7 @@ class Evaluator:
         alpha0: TangencyVector,
         beta0: TangencyVector,
         nb0: int,
-        chosen: Tuple[Tuple[_Option, TangencyVector, TangencyVector, int, int], ...],
+        chosen: Tuple[Tuple[_Option, TangencyVector, int, int], ...],
         pair_ids: Tuple[str, ...],
         pair_weight: int,
     ) -> Summand:
@@ -647,7 +599,7 @@ class Evaluator:
                     "symmetrized coefficient is not an integer"
                 )
         value = coeff * pair_weight
-        for _, _, _, bweight, factor_value in chosen:
+        for _, _, bweight, factor_value in chosen:
             coeff *= bweight
             value *= bweight * factor_value
         return ("split", None, l, alpha0, beta0, chosen, pair_ids, coeff, value)
@@ -691,10 +643,8 @@ class Evaluator:
         if budget <= built:
             if built_target is None:
                 return blocks
-            if target is not None and (
-                all(map(operator.le, target, built_target)) if self._cubic
-                else feasible(self.spec.lattice, tuple(
-                    map(operator.sub, built_target, target)), slack=0)
+            if target is not None and feasible(self.spec.lattice, tuple(
+                map(operator.sub, built_target, target)), slack=0
             ):
                 return blocks
         if built:
@@ -797,13 +747,13 @@ class Evaluator:
         bm_target: TangencyVector,
         ns_target: int,
         blocks: Tuple[_Block, ...],
-    ) -> Iterator[Tuple[Tuple[_Option, TangencyVector, TangencyVector, int, int], ...]]:
+    ) -> Iterator[Tuple[Tuple[_Option, TangencyVector, int, int], ...]]:
         """Unordered factor collections matching all budgets exactly.
 
         The target is given by its coordinates t_root, its E-degree te0 and
-        its -K degree ak0.  Yields tuples of (option, gamma,
-        beta_minus_gamma, binom weight, factor value) in non-decreasing
-        canonical order; each unordered collection once.
+        its -K degree ak0.  Yields tuples of (option, gamma, binom weight,
+        factor value) in non-decreasing canonical order; each unordered
+        collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
         each; the blocks of the reduced route further restrict them to real
         lines other than E carrying a single simple moving branch.
@@ -903,7 +853,7 @@ class Evaluator:
                     gamma, beta_minus, ibm_d, bweight = row
                     if ibm_d > ibm_rem or ibm_d < ibm_lo or not beta_minus <= bm_rem:
                         continue
-                    acc.append((opt, gamma, beta_minus, bweight, value))
+                    acc.append((opt, gamma, bweight, value))
                     yield from dfs(
                         bi, p_next, new_t, new_te, new_ak,
                         a_rem - opt.alpha if opt.ialpha else a_rem,

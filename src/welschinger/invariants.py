@@ -73,35 +73,6 @@ def invariant_report(
     )
 
 
-# -- relabeling symmetry ---------------------------------------------------------
-
-
-def relabel_canonical(spec: SurfaceSpec, d: DivisorClass) -> DivisorClass:
-    """Orbit representative under relabeling of same-reality blow-up points.
-
-    Real blown-up points are interchangeable, as are whole conjugate pairs,
-    so the invariant depends only on the degree and the multiset of
-    multiplicities within each reality block.  Scans use this to evaluate
-    one representative per orbit; the relabeling invariance itself is
-    checked independently (on raw classes) by the symmetry suite.
-
-    This is a wider symmetry than the evaluator's memo keys use: it moves
-    E1 and E2, which support E, among the other real points, so it holds
-    for the invariant but not for a recursion state.  The representative
-    puts the largest multiplicities on E1 and E2, the member of least
-    E-degree and so the cheapest to evaluate.
-    """
-    if spec.model != "P2" or spec.blown_down:
-        return d
-    c = d.coords
-    m = [-x for x in c[1:]]
-    nr = spec.n_real
-    real = sorted(m[:nr], reverse=True)
-    pairs = sorted((m[nr + 2 * i] for i in range((6 - nr) // 2)), reverse=True)
-    out = real + [v for p in pairs for v in (p, p)]
-    return DivisorClass([c[0]] + [-x for x in out])
-
-
 # -- chains and monotonicity -------------------------------------------------------
 
 
@@ -274,20 +245,20 @@ def positivity_scan(
 ) -> List[Tuple[DivisorClass, int, bool]]:
     """All nef-and-big real classes with -K.D <= bound, with their invariants.
 
-    One representative per relabeling orbit is evaluated (see
-    relabel_canonical); every class of the orbit receives that exact value.
+    One representative per orbit of spec.orbit_map(move_e=True) is
+    evaluated, and every class of the orbit receives that exact value.
+    That mode admits any permutation of the real blow-up points and of the
+    conjugate pairs, E1 and E2 included; none on a blown-down model or the
+    cubic.  The symmetry suite checks the invariance on raw classes.
     """
     if antik_bound < 1:
         raise ValidationError("scan bound must be >= 1")
     ev = evaluator or Evaluator(spec)
+    canon = spec.orbit_map(move_e=True)
     classes = spec.nef_big_classes(antik_bound)
-    reps = sorted({relabel_canonical(spec, d).coords for d in classes})
-    values = {c: welschinger(spec, DivisorClass(c), ev) for c in reps}
-    rows = []
-    for d in classes:
-        v = values[relabel_canonical(spec, d).coords]
-        rows.append((d, v, v > 0))
-    return rows
+    reps = [canon(d.coords) if canon else d.coords for d in classes]
+    values = {c: welschinger(spec, DivisorClass(c), ev) for c in sorted(set(reps))}
+    return [(d, values[c], values[c] > 0) for d, c in zip(classes, reps)]
 
 
 def symmetry_scan(
@@ -342,11 +313,12 @@ def blowdown_scan(antik_bound: int) -> List[Tuple[DivisorClass, int, int, bool]]
 
 
 def e_independence_scan(
-    antik_bound: int, twist: str = "F"
+    antik_bound: int,
 ) -> List[Tuple[DivisorClass, Tuple[int, int, int], bool]]:
-    """The cubic invariant computed with each of the three real lines as E."""
+    """The cubic invariant, with the component twist F, computed with each of
+    the three real lines as E."""
     specs = [
-        make_surface("B1", twist=twist, e_choice=e) for e in ("1,0,0", "0,1,0", "0,0,1")
+        make_surface("B1", twist="F", e_choice=e) for e in ("1,0,0", "0,1,0", "0,0,1")
     ]
     evs = [Evaluator(s) for s in specs]
     rows = []

@@ -27,8 +27,9 @@ component) only where the real part is disconnected, i.e. on B1 and B.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import InternalCheckError, ParseError, ValidationError
 from .picard import (
@@ -115,6 +116,64 @@ class SurfaceSpec:
 
     def parse_class(self, text: str) -> DivisorClass:
         return parse_class(self.lattice, text)
+
+    # -- relabelling orbits --------------------------------------------------------
+
+    def orbit_map(
+        self, move_e: bool = False
+    ) -> Optional[Callable[[Tuple[int, ...]], Tuple[int, ...]]]:
+        """The canonical relabelling of a class's coordinates, or None where
+        every relabelling is the identity.
+
+        A relabelling exchanges blow-up points of the same reality, a
+        conjugate pair (E_i, E_conj(i)) moving as one unit.  The map sorts
+        the coordinates within each group of interchangeable slots, so it
+        picks the least member of each orbit in tuple order.  The cubic's
+        rank-3 lattice has no relabelling.
+
+        move_e False admits the relabellings that fix E = L - E1 - E2, and so
+        the value of every recursion state: E1 <-> E2 when both are real, and
+        any permutation of the real E_i with i >= 3 and of the pairs with
+        i >= 3.  Blown-down slots stay, since the blow-down singles them
+        out.  The evaluator keys its memo by this mode.
+
+        move_e True also moves E1 and E2: any permutation of the real points
+        and of the pairs, (E1, E2) included.  It keeps W(D) but not a state,
+        and its representative has the largest multiplicities on E1 and E2,
+        so the least E-degree.  The scans evaluate one class per orbit of
+        this mode; it is None on a blown-down model.
+        """
+        if self.lattice.model == "cubic" or move_e and self.blown_down:
+            return None
+        conj = self.conj_perm
+        free = [i for i in range(1 if move_e else 3, 7) if i not in self.blown_down]
+        heads = (1, 2) if self.n_real >= 2 and not move_e else ()
+        reals = tuple(i for i in free if i <= self.n_real)
+        real_groups = [slots for slots in (heads, reals) if len(slots) > 1]
+        pairs = [(i, conj[i]) for i in free if conj[i] > i]
+        if len(pairs) < 2:
+            pairs = []
+        if not real_groups and not pairs:
+            return None
+        # The sorted values are gathered group by group after the fixed slots,
+        # then put back in slot order in one step.
+        moved = [i for slots in real_groups + pairs for i in slots]
+        fixed = [i for i in range(self.lattice.rank) if i not in moved]
+        order = fixed + moved
+        place = operator.itemgetter(*[order.index(i) for i in range(len(order))])
+        real_gets = [operator.itemgetter(*slots) for slots in real_groups]
+        pair_gets = [operator.itemgetter(*pair) for pair in pairs]
+
+        def canonical(coords: Tuple[int, ...]) -> Tuple[int, ...]:
+            values = [coords[i] for i in fixed]
+            for get in real_gets:
+                values += sorted(get(coords))
+            if pair_gets:
+                for unit in sorted([get(coords) for get in pair_gets]):
+                    values += unit
+            return place(values)
+
+        return canonical
 
     # -- blow-down filtering -----------------------------------------------------
 

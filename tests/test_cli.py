@@ -180,6 +180,13 @@ def test_growth_command(capsys):
     assert lines[2].startswith("2,160,")
 
 
+def test_growth_rows(capsys):
+    code, out, _ = run(capsys, "growth", "--surface", "B1", "--twist", "F",
+                       "--class", "-K", "--n-max", "3", "--no-cache")
+    assert code == 0
+    assert out.splitlines() == ["1  4  ", "2  160  3.660964", "3  63488  3.355326"]
+
+
 def test_cache_round_trip_and_info(capsys, tmp_path):
     path = str(tmp_path / "store.txt")
     code, cold, _ = run(capsys, "compute", "--surface", "B1", "--twist", "F",

@@ -283,18 +283,21 @@ def test_eval_independent_of_enumeration_order():
     assert shuffled.eval(key_of(spec_f, "-2K")) == want_f
 
 
-def _relabellings(spec, coords):
+def _relabellings(spec, coords, move_e=False):
     """Every image of a class's coordinates under the relabellings that fix
     E = L - E1 - E2, written out one permutation at a time: E1 <-> E2 when
     both are real, any permutation of the real E_i with i >= 3, and of the
     conjugate pairs (E_i, E_i+1) with i >= 3, blown-down slots left alone.
-    The cubic has none."""
-    if spec.lattice.model == "cubic":
+    With move_e, E1 and E2 move too: any permutation of all the real E_i
+    and of all the conjugate pairs, (E1, E2) included; none on a blown-down
+    model.  The cubic has none."""
+    if spec.lattice.model == "cubic" or move_e and spec.blown_down:
         return {coords}
-    free = [i for i in range(3, 7) if i not in spec.blown_down]
+    first = 1 if move_e else 3
+    free = [i for i in range(first, 7) if i not in spec.blown_down]
     reals = [i for i in free if i <= spec.n_real]
     pairs = [(i, i + 1) for i in free if i > spec.n_real and (i - spec.n_real) % 2]
-    heads = [(1, 2), (2, 1)] if spec.n_real >= 2 else [(1, 2)]
+    heads = [(1, 2), (2, 1)] if spec.n_real >= 2 and not move_e else [(1, 2)]
     images = set()
     for head in heads:
         for real_perm in itertools.permutations(reals):
@@ -475,7 +478,7 @@ class _LinearScanEvaluator(Evaluator):
                         gamma, beta_minus, ibm_d, bweight = gammas[g_idx]
                         if ibm_d > ibm_rem or not beta_minus <= bm_rem:
                             continue
-                        acc.append((opt, gamma, beta_minus, bweight, value))
+                        acc.append((opt, gamma, bweight, value))
                         yield from dfs(
                             bi, oi, g_idx, True, new_t, new_te, new_ak, new_a,
                             bm_rem - beta_minus, ibm_rem - ibm_d,
@@ -1115,7 +1118,7 @@ _P2_PATTERNS = [
 )
 def test_orbit_map_properties(model, a, b, twist, blowdown):
     spec = make_surface(model, a, b, twist=twist, blowdown=blowdown)
-    canon = Evaluator(spec)._canon
+    canon = spec.orbit_map()
     if spec.lattice.model == "cubic":
         assert canon is None
         return
@@ -1139,6 +1142,35 @@ def test_orbit_map_properties(model, a, b, twist, blowdown):
         assert spec.is_nef_big(rep) == spec.is_nef_big(d)
         assert all(image[i] == d.coords[i] for i in spec.blown_down)
     assert any(len(orbit) > 1 for orbit in seen.values()) == (canon is not None)
+
+
+@pytest.mark.parametrize(
+    "a, b, blowdown",
+    [(a, b, ()) for a, b in _P2_PATTERNS] + [(6, 0, (3, 4)), (4, 1, (3,))],
+)
+def test_wide_orbit_map_takes_the_least_member(a, b, blowdown):
+    # The scans' map, which also moves E1 and E2, sends every member of a
+    # written-out orbit to its least member; a blown-down model (every
+    # pattern with a + 2b < 6, and --blowdown) has no such relabelling.
+    spec = make_surface("P2", a, b, blowdown=blowdown)
+    canon = spec.orbit_map(move_e=True)
+    if spec.blown_down:
+        assert canon is None
+        return
+    classes = set(nef_classes_up_to(spec.lattice, spec.conj_perm, 6))
+    classes |= set(candidate_factors(spec.lattice, spec.conj_perm, spec.e_class, 6))
+    seen = set()
+    moved = 0
+    for d in sorted(classes):
+        if d.coords in seen:
+            continue
+        orbit = _relabellings(spec, d.coords, move_e=True)
+        seen |= orbit
+        least = min(orbit)
+        for member in orbit:
+            assert canon(member) == least, (d, member)
+        moved += any(member[1:3] != least[1:3] for member in orbit)
+    assert moved  # the map does move E1 and E2
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,11 @@ from welschinger.invariants import (
     nef_chain,
     path_equivalence_scan,
     positivity_scan,
-    relabel_canonical,
     sample_monotone_pairs,
     symmetry_scan,
     welschinger,
 )
+from welschinger.picard import DivisorClass
 from welschinger.surfaces import make_surface
 
 
@@ -127,17 +127,17 @@ def test_positivity_scan_matches_direct_values(shared):
         assert welschinger(spec, d, ev) == v
 
 
-def test_relabel_canonical_properties(shared):
+def test_wide_orbit_map_properties(shared):
     spec, _ = shared("P2", 4, 1)
+    canon = spec.orbit_map(move_e=True)
     for d in spec.nef_big_classes(5)[:20]:
-        rep = relabel_canonical(spec, d)
-        assert relabel_canonical(spec, rep) == rep
+        rep = DivisorClass(canon(d.coords))
+        assert DivisorClass(canon(rep.coords)) == rep
         assert spec.is_nef_big(rep)
         assert spec.antik_degree(rep) == spec.antik_degree(d)
     # blown-down and cubic specs pass through untouched
     conic = make_surface("B", twist="F")
-    d = conic.parse_class("2,1,1")
-    assert relabel_canonical(conic, d) == d
+    assert conic.orbit_map(move_e=True) is None
 
 
 def test_symmetry_scan(shared):
