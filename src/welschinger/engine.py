@@ -102,6 +102,16 @@ drops about three quarters of the fitting remainders of a cold P2[6,0]
 picks would have read; the cubic's rank-3 test has no conic half.  A
 pick whose remainder would fail the beta balance I(beta_rem) <= E.t_rem -
 1 is skipped before any generator is made for it.
+
+The search holds its remaining alpha budget and beta target packed
+(tangency.pack): one integer per vector, an 8-bit field per odd order
+with a guard bit, so that a pick's fit is one subtraction and mask and
+its remainder one integer subtraction.  The template rows and options
+carry their packed vectors next to the TangencyVector ones, and each
+recursion state packs its alpha and beta once and lists its beta0
+choices, with |beta0|, I(beta0) and beta - beta0 packed, once for all
+alpha0.  Only the search sees the packed form: keys, summands, records
+and the store hold TangencyVector objects.
 """
 
 from __future__ import annotations
@@ -119,6 +129,7 @@ from .errors import CacheError, InternalCheckError, ValidationError
 from .picard import DivisorClass, candidate_factors, class_to_str, feasible
 from .surfaces import SurfaceSpec
 from .tangency import (
+    GUARD,
     TangencyVector,
     enumerate_le,
     is_odd_support,
@@ -126,6 +137,7 @@ from .tangency import (
     multinomial,
     norm,
     odd_partitions,
+    pack,
     theta,
 )
 
@@ -227,7 +239,7 @@ class _Option:
 
     cls: DivisorClass
     alpha: TangencyVector
-    ialpha: int
+    palpha: int  # alpha packed (tangency.pack), 0 when alpha = 0
     beta: TangencyVector
     n_i: int
     memo_key: tuple = ()
@@ -287,23 +299,28 @@ def _symmetry_factor(chosen) -> int:
 @functools.lru_cache(maxsize=None)
 def _option_template(e_deg: int) -> Tuple[tuple, ...]:
     """The decorations any candidate class of E-degree `e_deg` can carry, in
-    canonical (alpha, beta) order.  A row is (alpha, I(alpha), beta, |beta|,
-    gammas, alpha key, beta key, whether alpha = 0 and beta = theta_1); the
-    gammas are (gamma, beta - gamma, I(beta - gamma), beta_j) per order j
-    in the support of beta.  Beta stays nonzero: I(beta) = e_deg - I(alpha)
-    >= 1.  Nothing here depends on the surface, so the rows are shared."""
+    canonical (alpha, beta) order.  A row is (alpha, alpha packed, beta,
+    |beta|, gammas, alpha key, beta key, whether alpha = 0 and beta =
+    theta_1); the gammas are (gamma, beta - gamma, beta - gamma packed,
+    I(beta - gamma), beta_j) per order j in the support of beta.  The
+    packed forms (tangency.pack) are what the factor search compares and
+    subtracts; the vectors go into its collections.  Beta stays nonzero:
+    I(beta) = e_deg - I(alpha) >= 1.  Nothing here depends on the surface,
+    so the rows are shared."""
     th1 = theta(1)
     rows = []
     for ia in range(e_deg):
         for av in odd_partitions(ia):
             for bv in odd_partitions(e_deg - ia):
-                gammas = tuple(
-                    (theta(j), bv - theta(j), iweight(bv) - j, bv[j])
-                    for j in bv.support()
-                )
+                gammas = []
+                for j in bv.support():
+                    rest = bv - theta(j)
+                    gammas.append(
+                        (theta(j), rest, pack(rest), iweight(bv) - j, bv[j])
+                    )
                 rows.append(
-                    (av, ia, bv, norm(bv), gammas, av.key(), bv.key(),
-                     not av and bv == th1)
+                    (av, pack(av), bv, norm(bv), tuple(gammas), av.key(),
+                     bv.key(), not av and bv == th1)
                 )
     rows.sort(key=lambda row: (row[5], row[6]))
     return tuple(rows)
@@ -443,7 +460,13 @@ class Evaluator:
         return self._value(self._reduced, key.d, key.alpha, key.beta)
 
     def cache_stats(self) -> dict:
-        """Memo size and lookups of the full route, the one the store holds."""
+        """Memo size and lookups of the full route, the one the store holds.
+
+        `hits` and `misses` count the lookups made through _value: the top
+        key, first-sum children, store adoptions and factor values the
+        search does not find in the memo.  The factor search reads the
+        values it finds straight from the memo and counts none of those
+        reads, so `hits` leaves out most reuse of factor values."""
         return {
             "entries": len(self._full.memo), "hits": self.hits, "misses": self.misses
         }
@@ -538,15 +561,20 @@ class Evaluator:
         budget = spec.antik_degree(d) - 1  # -K.(D - E), as -K.E = 1
         blocks = self._local_blocks(route, budget, d_minus_e) if budget >= 1 else ()
         n1 = n - 1
+        # The search takes its alpha budget and beta target packed
+        # (tangency.pack).  The beta0 choices do not depend on alpha0, so
+        # they are listed once: (beta0, |beta0|, I(beta0), beta - beta0
+        # packed), with |beta0| <= n - 1.
+        p_alpha, p_beta, i_beta = pack(alpha), pack(beta), iweight(beta)
+        beta0s = []
+        for beta0 in enumerate_le(beta):
+            nb0 = norm(beta0)
+            if nb0 <= n1:
+                beta0s.append((beta0, nb0, iweight(beta0), p_beta - pack(beta0)))
         for alpha0 in enumerate_le(alpha):
             ia0 = iweight(alpha0)
-            alpha_budget = alpha - alpha0
-            for beta0 in enumerate_le(beta):
-                nb0 = norm(beta0)
-                if nb0 > n1:
-                    continue
-                ib0 = iweight(beta0)
-                bm_target = beta - beta0
+            a_budget = p_alpha - pack(alpha0)
+            for beta0, nb0, ib0, bm_target in beta0s:
                 ns_target = n1 - nb0
                 l = 0
                 while l <= route.l_max:
@@ -561,7 +589,8 @@ class Evaluator:
                     for pair_ids, p_coords, p_te, p_ak, p_weight in route.pair_subsets:
                         for chosen in self._factor_multisets(
                             route, tuple(map(operator.sub, t, p_coords)), te - p_te,
-                            ak - p_ak, alpha_budget, bm_target, ns_target, blocks,
+                            ak - p_ak, a_budget, bm_target, i_beta - ib0,
+                            ns_target, blocks,
                         ):
                             yield self._make_term(
                                 n1, l, alpha, alpha0, beta0, nb0, chosen,
@@ -689,15 +718,15 @@ class Evaluator:
         line = coords in self._line_coords
         key_coords = self._canon(coords) if self._canon else coords
         picks: List[Tuple[_Option, tuple, int]] = []
-        for av, ia, bv, nb, gammas, a_key, b_key, simple in _option_template(e_deg):
+        for av, pa, bv, nb, gammas, a_key, b_key, simple in _option_template(e_deg):
             n_i = base + nb
             if n_i < 0:
                 continue
             if rigid_lines_only and n_i == 0 and not (line and simple):
                 continue
-            opt = _Option(cls, av, ia, bv, n_i, memo_key=(key_coords, a_key, b_key))
+            opt = _Option(cls, av, pa, bv, n_i, memo_key=(key_coords, a_key, b_key))
             first = len(picks)
-            rigid = n_i == 0 and not ia
+            rigid = n_i == 0 and not pa
             picks.extend(
                 (opt, row, first + len(gammas) if rigid else first + j)
                 for j, row in enumerate(gammas)
@@ -743,15 +772,18 @@ class Evaluator:
         t_root: Tuple[int, ...],
         te0: int,
         ak0: int,
-        alpha_budget: TangencyVector,
-        bm_target: TangencyVector,
+        a_budget: int,
+        bm_target: int,
+        ibm0: int,
         ns_target: int,
         blocks: Tuple[_Block, ...],
     ) -> Iterator[Tuple[Tuple[_Option, TangencyVector, int, int], ...]]:
         """Unordered factor collections matching all budgets exactly.
 
         The target is given by its coordinates t_root, its E-degree te0 and
-        its -K degree ak0.  Yields tuples of (option, gamma, binom weight,
+        its -K degree ak0.  The alpha budget and the beta target
+        sum(beta_i - gamma_i) come packed (tangency.pack), with ibm0 the
+        target's I.  Yields tuples of (option, gamma, binom weight,
         factor value) in non-decreasing canonical order; each unordered
         collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
@@ -761,13 +793,13 @@ class Evaluator:
         if not feasible(self.spec.lattice, t_root):
             return
         zero_t = self._zero_coords
-        ibm0 = iweight(bm_target)
         if t_root != zero_t and (te0 < 1 or ak0 < 1 or ibm0 > te0 - 1):
             return
         cubic = self._cubic
         n_blocks = len(blocks)
         memo = route.memo
         value_of = self._value
+        guard = GUARD
 
         def dfs(
             b0: int,
@@ -775,8 +807,8 @@ class Evaluator:
             t_rem: Tuple[int, ...],
             te_rem: int,
             ak_rem: int,
-            a_rem: TangencyVector,
-            bm_rem: TangencyVector,
+            a_rem: int,
+            bm_rem: int,
             ibm_rem: int,
             ns_rem: int,
             acc: list,
@@ -793,6 +825,8 @@ class Evaluator:
             else:
                 t0, t1, t2, t3, t4, t5, t6 = t_rem
                 s1, s2 = t1 - 1, t2 - 1
+            # x <= a_rem iff (a_guard - x) & guard == guard, for packed x
+            a_guard, bm_guard = a_rem | guard, bm_rem | guard
             for bi in range(b0, n_blocks):
                 blk = blocks[bi]
                 new_ak = ak_rem - blk.antik
@@ -843,26 +877,29 @@ class Evaluator:
                 for opt, row, p_next in blk.picks[p0 if bi == b0 else 0:]:
                     if opt.n_i > ns_rem:
                         continue
-                    if opt.ialpha and not opt.alpha <= a_rem:
+                    p_a = opt.palpha
+                    if p_a and (a_guard - p_a) & guard != guard:
                         continue
                     value = memo.get(opt.memo_key)
                     if value is None:
                         value = value_of(route, opt.cls, opt.alpha, opt.beta)
                     if value == 0:
                         continue
-                    gamma, beta_minus, ibm_d, bweight = row
-                    if ibm_d > ibm_rem or ibm_d < ibm_lo or not beta_minus <= bm_rem:
+                    gamma, _, p_bm, ibm_d, bweight = row
+                    if (
+                        ibm_d > ibm_rem or ibm_d < ibm_lo
+                        or (bm_guard - p_bm) & guard != guard
+                    ):
                         continue
                     acc.append((opt, gamma, bweight, value))
                     yield from dfs(
-                        bi, p_next, new_t, new_te, new_ak,
-                        a_rem - opt.alpha if opt.ialpha else a_rem,
-                        bm_rem - beta_minus, ibm_rem - ibm_d, ns_rem - opt.n_i, acc,
+                        bi, p_next, new_t, new_te, new_ak, a_rem - p_a,
+                        bm_rem - p_bm, ibm_rem - ibm_d, ns_rem - opt.n_i, acc,
                     )
                     acc.pop()
 
         yield from dfs(
-            0, 0, t_root, te0, ak0, alpha_budget, bm_target, ibm0, ns_target, [],
+            0, 0, t_root, te0, ak0, a_budget, bm_target, ibm0, ns_target, [],
         )
 
 

@@ -248,8 +248,8 @@ def positivity_scan(
     One representative per orbit of spec.orbit_map(move_e=True) is
     evaluated, and every class of the orbit receives that exact value.
     That mode admits any permutation of the real blow-up points and of the
-    conjugate pairs, E1 and E2 included; none on a blown-down model or the
-    cubic.  The symmetry suite checks the invariance on raw classes.
+    conjugate pairs that are not blown down, E1 and E2 included; none on
+    the cubic.  The symmetry suite checks the invariance on raw classes.
     """
     if antik_bound < 1:
         raise ValidationError("scan bound must be >= 1")

@@ -138,12 +138,12 @@ class SurfaceSpec:
         out.  The evaluator keys its memo by this mode.
 
         move_e True also moves E1 and E2: any permutation of the real points
-        and of the pairs, (E1, E2) included.  It keeps W(D) but not a state,
-        and its representative has the largest multiplicities on E1 and E2,
-        so the least E-degree.  The scans evaluate one class per orbit of
-        this mode; it is None on a blown-down model.
+        and of the pairs that are not blown down, (E1, E2) included.  It
+        keeps W(D) but not a state, and its representative has the largest
+        multiplicities on E1 and E2, so the least E-degree.  The scans
+        evaluate one class per orbit of this mode.
         """
-        if self.lattice.model == "cubic" or move_e and self.blown_down:
+        if self.lattice.model == "cubic":
             return None
         conj = self.conj_perm
         free = [i for i in range(1 if move_e else 3, 7) if i not in self.blown_down]

@@ -13,6 +13,11 @@ subsemigroup.
 Vectors are immutable and hashable; they are used directly as parts of memo
 keys.  The canonical textual form is ``k1:c1,k2:c2,...`` with strictly
 increasing orders, and ``0`` for the zero vector.
+
+The factor search, the hot loop of the recursion, also holds odd-support
+vectors in a packed form: one integer with an 8-bit field per odd order,
+whose top bit is a guard, so that a difference and a componentwise
+comparison each take a few integer operations (see pack).
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import math
 from collections.abc import Mapping
 from functools import reduce
 from typing import Iterable, Iterator, Tuple
+
+from .errors import InternalCheckError
 
 
 class TangencyVector:
@@ -143,9 +150,6 @@ class TangencyVector:
                 return False
         return True
 
-    def __ge__(self, other: "TangencyVector") -> bool:
-        return other <= self
-
 
 def _from_sorted(entries: Tuple[Tuple[int, int], ...]) -> TangencyVector:
     v = object.__new__(TangencyVector)
@@ -223,6 +227,39 @@ def odd_partitions(total: int) -> Tuple[TangencyVector, ...]:
 
     rec(total, total, {})
     return tuple(results)
+
+
+# -- packed form -------------------------------------------------------------------
+# Odd order k holds field (k - 1) // 2 of _FIELD_BITS bits, its count in the low
+# seven bits; the top bit of each field is a guard bit, clear in every packed
+# vector (Lamport, "Multiple byte processing with full-word instructions",
+# CACM 1975).  Each field of (b | GUARD) - a is b_k + 128 - a_k, between 1 and
+# 255, so no borrow crosses a field, and its guard bit stays set exactly when
+# a_k <= b_k.  Hence, for packed a and b:
+#   a <= b componentwise  iff  ((b | GUARD) - a) & GUARD == GUARD;
+#   b - a is the packed difference whenever a <= b.
+# Counts only shrink under that subtraction, so only pack can overflow a field.
+
+_FIELD_BITS = 8
+MAX_PACKED_ORDER = 63
+GUARD = sum(
+    1 << (_FIELD_BITS * field + _FIELD_BITS - 1)
+    for field in range(MAX_PACKED_ORDER // 2 + 1)
+)
+
+
+def pack(v: TangencyVector) -> int:
+    """The packed form of an odd-support vector.  An even order, an order
+    past MAX_PACKED_ORDER or a count of 128 or more has no field to hold it
+    and raises InternalCheckError: a packed vector never wraps."""
+    packed = 0
+    for k, c in v:
+        if k % 2 == 0 or k > MAX_PACKED_ORDER or c >> (_FIELD_BITS - 1):
+            raise InternalCheckError(
+                f"tangency vector {v} does not pack: order {k}, count {c}"
+            )
+        packed |= c << (_FIELD_BITS * (k >> 1))
+    return packed
 
 
 ZERO = _ZERO

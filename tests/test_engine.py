@@ -20,7 +20,7 @@ from welschinger.engine import (
 )
 from welschinger import cli
 from welschinger.errors import CacheError, ValidationError
-from welschinger.invariants import top_key, welschinger
+from welschinger.invariants import positivity_scan, top_key, welschinger
 from welschinger.picard import (
     P2_LATTICE, DivisorClass, candidate_factors, feasible, nef_classes_up_to,
 )
@@ -289,9 +289,9 @@ def _relabellings(spec, coords, move_e=False):
     both are real, any permutation of the real E_i with i >= 3, and of the
     conjugate pairs (E_i, E_i+1) with i >= 3, blown-down slots left alone.
     With move_e, E1 and E2 move too: any permutation of all the real E_i
-    and of all the conjugate pairs, (E1, E2) included; none on a blown-down
-    model.  The cubic has none."""
-    if spec.lattice.model == "cubic" or move_e and spec.blown_down:
+    and of all the conjugate pairs, (E1, E2) included, blown-down slots
+    still left alone.  The cubic has none."""
+    if spec.lattice.model == "cubic":
         return {coords}
     first = 1 if move_e else 3
     free = [i for i in range(first, 7) if i not in spec.blown_down]
@@ -317,11 +317,29 @@ def _orbit_representative(spec, coords):
     return min(_relabellings(spec, coords))
 
 
+def _pack(v):
+    """The packed form the factor search compares, written out from its
+    layout: count c of odd order k in the byte (k - 1) / 2."""
+    return sum(c << 8 * (k // 2) for k, c in v)
+
+
+def _unpack(packed):
+    """The vector a packed budget stands for (the inverse of _pack)."""
+    entries = {}
+    k = 1
+    while packed:
+        entries[k] = packed & 0xFF
+        packed >>= 8
+        k += 2
+    return TangencyVector(entries)
+
+
 def _per_class_options(spec, cls, rigid_lines_only):
     """Reference for Evaluator._picks: the per-class loop it replaced,
     recomputing the odd partitions, r_dim_class, the real-line rule and the
     gammas for this one class, as (option, its gamma rows) in canonical
-    order; the memo key holds the class's orbit representative."""
+    order; the memo key holds the class's orbit representative, and the
+    packed fields come from _pack."""
     e_deg = spec.e_degree(cls)
     real_line = cls in spec.lattice.lines and cls != spec.e_class
     rep = _orbit_representative(spec, cls.coords)
@@ -337,11 +355,12 @@ def _per_class_options(spec, cls, rigid_lines_only):
                 ):
                     continue
                 gammas = [
-                    (theta(j), bv - theta(j), iweight(bv) - j, bv[j])
+                    (theta(j), bv - theta(j), _pack(bv - theta(j)), iweight(bv) - j,
+                     bv[j])
                     for j in bv.support()
                 ]
                 opt = engine._Option(
-                    cls, av, iweight(av), bv, n_i, memo_key=(rep, av.key(), bv.key())
+                    cls, av, _pack(av), bv, n_i, memo_key=(rep, av.key(), bv.key())
                 )
                 opts.append((opt, gammas))
     opts.sort(key=lambda o: (o[0].alpha.key(), o[0].beta.key()))
@@ -402,7 +421,10 @@ class _LinearScanEvaluator(Evaluator):
     regroups each block's picks by option and walks the options and their
     gammas in loops of its own, with the rule the picks' restart indices
     replaced: a collection restarts at its last (option, gamma), and a
-    rigid option (n_i = 0, alpha = 0) is taken at most once."""
+    rigid option (n_i = 0, alpha = 0) is taken at most once.  It decodes the
+    packed alpha budget and beta target it is handed with _unpack and
+    compares and subtracts TangencyVector objects, as the search did before
+    its budgets were packed."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -420,17 +442,19 @@ class _LinearScanEvaluator(Evaluator):
         return tuple(b for b in self._table(route, budget, None) if b.antik <= budget)
 
     def _factor_multisets(
-        self, route, t0, te_given, ak_given, alpha_budget, bm_target, ns_target,
-        blocks,
+        self, route, t0, te_given, ak_given, a_packed, bm_packed, ibm_given,
+        ns_target, blocks,
     ):
         spec = self.spec
         t_class = DivisorClass(t0)
         te0 = spec.e_degree(t_class)
         ak0 = spec.antik_degree(t_class)
         assert (te_given, ak_given) == (te0, ak0), t0
+        alpha_budget, bm_target = _unpack(a_packed), _unpack(bm_packed)
+        ibm0 = iweight(bm_target)
+        assert ibm_given == ibm0, (bm_target, ibm_given)
         if not _splittable(spec, t0):
             return
-        ibm0 = iweight(bm_target)
         zero_t = self._zero_coords
         feasible = functools.partial(_splittable, spec)
         n_blocks = len(blocks)
@@ -465,17 +489,17 @@ class _LinearScanEvaluator(Evaluator):
                     same = repick and bi == b0 and oi == o0
                     if opt.n_i > ns_rem:
                         continue
-                    if opt.n_i == 0 and not opt.ialpha and same:
+                    if opt.n_i == 0 and not opt.alpha and same:
                         continue
-                    if opt.ialpha and not opt.alpha <= a_rem:
+                    if opt.alpha and not opt.alpha <= a_rem:
                         continue
                     value = self._value(route, opt.cls, opt.alpha, opt.beta)
                     if value == 0:
                         continue
-                    new_a = a_rem - opt.alpha if opt.ialpha else a_rem
+                    new_a = a_rem - opt.alpha
                     g_begin = g0 if same else 0
                     for g_idx in range(g_begin, len(gammas)):
-                        gamma, beta_minus, ibm_d, bweight = gammas[g_idx]
+                        gamma, beta_minus, _, ibm_d, bweight = gammas[g_idx]
                         if ibm_d > ibm_rem or not beta_minus <= bm_rem:
                             continue
                         acc.append((opt, gamma, bweight, value))
@@ -1150,13 +1174,11 @@ def test_orbit_map_properties(model, a, b, twist, blowdown):
 )
 def test_wide_orbit_map_takes_the_least_member(a, b, blowdown):
     # The scans' map, which also moves E1 and E2, sends every member of a
-    # written-out orbit to its least member; a blown-down model (every
-    # pattern with a + 2b < 6, and --blowdown) has no such relabelling.
+    # written-out orbit to its least member, blown-down models (every
+    # pattern with a + 2b < 6, and --blowdown) included; it is None only
+    # where every orbit is a single class (P2[0,1]).
     spec = make_surface("P2", a, b, blowdown=blowdown)
     canon = spec.orbit_map(move_e=True)
-    if spec.blown_down:
-        assert canon is None
-        return
     classes = set(nef_classes_up_to(spec.lattice, spec.conj_perm, 6))
     classes |= set(candidate_factors(spec.lattice, spec.conj_perm, spec.e_class, 6))
     seen = set()
@@ -1168,9 +1190,24 @@ def test_wide_orbit_map_takes_the_least_member(a, b, blowdown):
         seen |= orbit
         least = min(orbit)
         for member in orbit:
-            assert canon(member) == least, (d, member)
+            assert (canon(member) if canon else member) == least, (d, member)
+            assert all(member[i] == d.coords[i] for i in spec.blown_down)
         moved += any(member[1:3] != least[1:3] for member in orbit)
-    assert moved  # the map does move E1 and E2
+    # the map moves E1 and E2 wherever it exists
+    assert bool(moved) == (canon is not None)
+
+
+@pytest.mark.parametrize("a, b, blowdown", [(4, 0, ()), (6, 0, (3, 4))])
+def test_scan_on_a_blown_down_model_matches_raw_values(a, b, blowdown):
+    # The scan evaluates one class per orbit of the wide map and hands the
+    # value to every member; each row equals the class's own value on a
+    # raw-keyed evaluator.
+    spec = make_surface("P2", a, b, blowdown=blowdown)
+    rows = positivity_scan(spec, 7)
+    raw = Evaluator(spec, canonicalize=False)
+    assert len({spec.orbit_map(move_e=True)(d.coords) for d, _, _ in rows}) < len(rows)
+    for d, value, _ in rows:
+        assert value == welschinger(spec, d, raw), spec.class_str(d)
 
 
 @pytest.mark.parametrize(

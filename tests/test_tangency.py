@@ -3,7 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from welschinger.errors import InternalCheckError
 from welschinger.tangency import (
+    GUARD,
+    MAX_PACKED_ORDER,
     TangencyVector,
     enumerate_le,
     is_odd_support,
@@ -11,6 +14,7 @@ from welschinger.tangency import (
     multinomial,
     norm,
     odd_partitions,
+    pack,
     theta,
 )
 
@@ -122,3 +126,66 @@ def test_odd_partitions():
     assert {str(v) for v in odd_partitions(4)} == {"1:4", "1:1,3:1"}
     for v in odd_partitions(9):
         assert is_odd_support(v) and iweight(v) == 9
+
+
+# -- packed form ---------------------------------------------------------------
+
+
+def unpack(packed):
+    """Decode a packed vector by the layout alone: odd order 2i + 1 in the
+    byte i, whose top bit must be clear."""
+    entries = {}
+    i = 0
+    while packed:
+        field = packed & 0xFF
+        assert field < 0x80, (i, field)
+        entries[2 * i + 1] = field
+        packed >>= 8
+        i += 1
+    return TangencyVector(entries)
+
+
+# odd-support vectors over every order the packed form holds, with counts up
+# to the largest a field holds
+packable_vectors = st.dictionaries(
+    st.sampled_from(range(1, MAX_PACKED_ORDER + 1, 2)),
+    st.integers(min_value=0, max_value=127),
+    max_size=8,
+).map(TangencyVector)
+
+
+@st.composite
+def packable_pairs(draw):
+    """Two packable vectors, the second often a near copy of the first, so
+    that both outcomes of <= are common."""
+    a = draw(packable_vectors)
+    if draw(st.booleans()):
+        return a, draw(packable_vectors)
+    near = st.integers(min_value=-2, max_value=2)
+    return a, TangencyVector((k, min(max(c + draw(near), 0), 127)) for k, c in a)
+
+
+@given(packable_pairs())
+def test_packed_arithmetic_matches_vectors(pair):
+    a, b = pair
+    pa, pb = pack(a), pack(b)
+    assert unpack(pa) == a and unpack(pb) == b
+    assert pa & GUARD == 0 and pb & GUARD == 0
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+        fits = ((py | GUARD) - px) & GUARD == GUARD
+        assert fits == (x <= y)
+        if fits:
+            assert unpack(py - px) == y - x
+
+
+def test_packed_fields_and_limits():
+    assert pack(ZERO) == 0
+    assert pack(theta(1)) == 1
+    assert pack(theta(3, 2)) == 2 << 8
+    top = theta(MAX_PACKED_ORDER, 127)
+    assert unpack(pack(top)) == top
+    assert GUARD.bit_length() == 8 * (MAX_PACKED_ORDER // 2 + 1)
+    for bad in (theta(1, 128), theta(MAX_PACKED_ORDER, 128),
+                theta(MAX_PACKED_ORDER + 2), theta(2)):
+        with pytest.raises(InternalCheckError):
+            pack(bad)
