@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from functools import reduce
 from typing import Iterable, Iterator, Tuple
 
 from .errors import InternalCheckError
@@ -175,19 +174,19 @@ def multinomial(v: TangencyVector, parts: Iterable[TangencyVector]) -> int:
     """Vector multinomial v! / (prod parts_i! * (v - sum parts)!).
 
     Computed as a product of per-order integer multinomials, so the result
-    is exact and no division is ever performed.
+    is exact and no division is ever performed: each part takes its count
+    of an order from what the earlier parts left of v's count there, and a
+    part that takes more than is left raises ValueError.
     """
-    parts = list(parts)
-    total = reduce(lambda a, b: a + b, parts, _ZERO)
-    if not total <= v:
-        raise ValueError("parts exceed the vector componentwise")
+    left = dict(v._entries)
     result = 1
-    for k, c in v:
-        remaining = c
-        for p in parts:
-            pk = p[k]
-            result *= math.comb(remaining, pk)
-            remaining -= pk
+    for p in parts:
+        for k, c in p._entries:
+            have = left.get(k, 0)
+            if c > have:
+                raise ValueError("parts exceed the vector componentwise")
+            result *= math.comb(have, c)
+            left[k] = have - c
     return result
 
 

@@ -368,10 +368,10 @@ def _per_class_options(spec, cls, rigid_lines_only):
 
 
 def _by_option(picks):
-    """A block's picks regrouped per option: (option, its gamma rows), in
-    pick order."""
+    """A block's picks regrouped per option: (option, its picks), in pick
+    order."""
     return [
-        (opt, [row for _, row, _ in group])
+        (opt, list(group))
         for opt, group in itertools.groupby(picks, key=lambda pick: pick[0])
     ]
 
@@ -396,7 +396,10 @@ def test_options_match_per_class_loop(model, a, b, twist):
             picks = ev._picks(
                 cls, spec.e_degree(cls), spec.antik_degree(cls), rigid_lines_only
             )
-            assert _by_option(picks) == want, (cls, rigid_lines_only)
+            got = [
+                (opt, [row for _, row, _ in group]) for opt, group in _by_option(picks)
+            ]
+            assert got == want, (cls, rigid_lines_only)
 
 
 def _splittable(spec, t):
@@ -421,15 +424,18 @@ class _LinearScanEvaluator(Evaluator):
     regroups each block's picks by option and walks the options and their
     gammas in loops of its own, with the rule the picks' restart indices
     replaced: a collection restarts at its last (option, gamma), and a
-    rigid option (n_i = 0, alpha = 0) is taken at most once.  It decodes the
-    packed alpha budget and beta target it is handed with _unpack and
-    compares and subtracts TangencyVector objects, as the search did before
-    its budgets were packed."""
+    rigid option (n_i = 0, alpha = 0) is taken at most once; it emits the
+    block's own pick objects.  It decodes the packed alpha budget and beta
+    target it is handed with _unpack and compares and subtracts
+    TangencyVector objects, as the search did before its budgets were
+    packed.  It keeps no search memo: every search of every state runs
+    afresh, so a search key that left out a field the collections depend
+    on would show as a difference."""
 
     def __init__(self, spec):
         super().__init__(spec)
-        # id(block) -> (block, its options and gammas); holding the block
-        # keeps its id from being reused
+        # id(block) -> (block, its options and their picks); holding the
+        # block keeps its id from being reused
         self._grouped = {}
 
     def _options_of(self, blk):
@@ -440,6 +446,9 @@ class _LinearScanEvaluator(Evaluator):
 
     def _local_blocks(self, route, budget, tc):
         return tuple(b for b in self._table(route, budget, None) if b.antik <= budget)
+
+    def _collections(self, route, *search):
+        return self._factor_multisets(route, *search)
 
     def _factor_multisets(
         self, route, t0, te_given, ak_given, a_packed, bm_packed, ibm_given,
@@ -485,7 +494,7 @@ class _LinearScanEvaluator(Evaluator):
                 opts = self._options_of(blk)
                 o_begin = o0 if bi == b0 else 0
                 for oi in range(o_begin, len(opts)):
-                    opt, gammas = opts[oi]
+                    opt, picks = opts[oi]
                     same = repick and bi == b0 and oi == o0
                     if opt.n_i > ns_rem:
                         continue
@@ -498,11 +507,11 @@ class _LinearScanEvaluator(Evaluator):
                         continue
                     new_a = a_rem - opt.alpha
                     g_begin = g0 if same else 0
-                    for g_idx in range(g_begin, len(gammas)):
-                        gamma, beta_minus, _, ibm_d, bweight = gammas[g_idx]
+                    for g_idx in range(g_begin, len(picks)):
+                        _, beta_minus, _, ibm_d, _ = picks[g_idx][1]
                         if ibm_d > ibm_rem or not beta_minus <= bm_rem:
                             continue
-                        acc.append((opt, gamma, bweight, value))
+                        acc.append(picks[g_idx])
                         yield from dfs(
                             bi, oi, g_idx, True, new_t, new_te, new_ak, new_a,
                             bm_rem - beta_minus, ibm_rem - ibm_d,
@@ -559,6 +568,73 @@ def test_factor_search_matches_linear_scan(data):
     want = list(slow._split_terms(getattr(slow, route), d, alpha, beta, n))
     got = list(fast._split_terms(getattr(fast, route), d, alpha, beta, n))
     assert got == want
+
+
+def _draw_key(data, spec, classes):
+    d = data.draw(st.sampled_from(classes))
+    de = spec.e_degree(d)
+    ia = data.draw(st.integers(0, de))
+    alpha = data.draw(st.sampled_from(odd_partitions(ia)))
+    beta = data.draw(st.sampled_from(odd_partitions(de - ia)))
+    assume(spec.class_allowed(d))
+    return make_key(spec, d, alpha, beta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_shared_searches_trace_like_fresh_ones(data):
+    # An evaluator warmed on random keys serves a further key's searches
+    # from its search memo wherever an earlier state made them; its trace
+    # must be the one a fresh evaluator and the unshared oracle print.
+    surface = data.draw(st.sampled_from(sorted(_SEARCH_SURFACES)))
+    _, oracle, classes = _search_pair(surface)
+    spec = oracle.spec
+    key = _draw_key(data, spec, classes)
+    warm = Evaluator(spec)
+    for _ in range(data.draw(st.integers(1, 3))):
+        warm.eval(_draw_key(data, spec, classes))
+    if data.draw(st.booleans()):
+        # Once the key has been expanded, every search of its split sum is
+        # a memo hit.  (An eval would not do: it may read the key's value
+        # from its orbit representative without searching for the key.)
+        warm.expand(key)
+        searches = dict(warm._full.searches)
+        got = warm.expand(key)
+        assert warm._full.searches == searches
+    else:
+        got = warm.expand(key)
+    want = [r.to_dict(spec) for r in Evaluator(spec).expand(key)]
+    assert [r.to_dict(spec) for r in got] == want
+    assert [r.to_dict(spec) for r in oracle.expand(key)] == want
+    assert not oracle._full.searches  # the oracle searches afresh
+
+
+def test_warm_evaluator_matches_oracle_on_every_cubic_key():
+    # One evaluator takes every key of every class of the twisted cubic up
+    # to -K.D 11 in class order, on both routes, so that later keys read
+    # searches that earlier ones made; the oracle searches each afresh.
+    # Collisions are rare: a search memo keyed without its beta target
+    # reads back wrong collections for 18 of these 848 keys, and for none
+    # of them when each is evaluated alone.
+    spec = make_surface("B1", twist="F")
+    classes = sorted(
+        set(spec.nef_big_classes(11)) | set(candidate_factors(
+            spec.lattice, spec.conj_perm, spec.e_class, 11,
+            blocked=spec.candidate_blocked(),
+        ))
+    )
+    warm, oracle = Evaluator(spec), _LinearScanEvaluator(spec)
+    keys = [
+        make_key(spec, d, alpha, beta)
+        for d in classes
+        for ia in range(spec.e_degree(d) + 1)
+        for alpha in odd_partitions(ia)
+        for beta in odd_partitions(spec.e_degree(d) - ia)
+    ]
+    assert len(keys) == 848
+    for key in keys:
+        assert warm.eval(key) == oracle.eval(key), key
+        assert warm.eval_cubic_fast(key) == oracle.eval_cubic_fast(key), key
 
 
 _CONICS = [-P2_LATTICE.canonical - line for line in P2_LATTICE.lines]

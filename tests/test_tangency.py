@@ -121,6 +121,49 @@ def test_multinomial_permutation_invariant(v, data):
     assert base * math.prod(vfact(p) for p in parts) == vfact(v)
 
 
+def _multinomial_per_order(v, parts):
+    """The vector multinomial as it was first computed: the parts summed,
+    the sum checked against v, then per order of v one binomial per part,
+    each part's count read by order."""
+    total = ZERO
+    for p in parts:
+        total = total + p
+    if not total <= v:
+        raise ValueError("parts exceed the vector componentwise")
+    result = 1
+    for k, c in v:
+        remaining = c
+        for p in parts:
+            result *= math.comb(remaining, p[k])
+            remaining -= p[k]
+    return result
+
+
+def _check_multinomial(v, parts):
+    try:
+        want = _multinomial_per_order(v, parts)
+    except ValueError:
+        with pytest.raises(ValueError):
+            multinomial(v, parts)
+    else:
+        assert multinomial(v, parts) == want
+        assert multinomial(v, iter(parts)) == want
+
+
+@given(small_vectors, st.lists(small_vectors, max_size=4))
+def test_multinomial_matches_per_order_formula(v, parts):
+    # Drawn parts often exceed v, an order v lacks included: both forms
+    # must then refuse them.
+    _check_multinomial(v, parts)
+
+
+@given(small_vectors, st.data())
+def test_multinomial_matches_per_order_formula_on_parts_below_v(v, data):
+    # each part drawn below v, so that the parts often fit together
+    below = list(enumerate_le(v))
+    _check_multinomial(v, data.draw(st.lists(st.sampled_from(below), max_size=4)))
+
+
 def test_odd_partitions():
     assert odd_partitions(0) == (ZERO,)
     assert {str(v) for v in odd_partitions(4)} == {"1:4", "1:1,3:1"}
