@@ -90,18 +90,27 @@ stamps its class's n_i onto the template's rows as a flat list of picks,
 one per option and marked branch, each with the index where a collection
 holding it continues.
 
+Each recursion state admits its split targets once, in _split_terms.  A
+target T = D - E + c (K + E) - P depends only on c = 2l + I(alpha0) +
+I(beta0) and the pair subset P, so the state lists, per c, the targets
+that are zero, or that have both degrees >= 1 and are feasible
+(picard.feasible).  Its (alpha0, beta0, l) summands read that list and
+test only the beta balance I(beta - beta0) <= E.T - 1 of a nonzero T.
+Only _split_terms decides which targets a state can split into; the
+search takes what it is handed.
+
 The factor search is one loop over the blocks in table order and their
 picks from that index on.  Before it descends into a block it tests that
 the remainder t - b is feasible, the coordinate fit first (rank 7:
 b_0 <= t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3;
 rank 3: b_i <= t_i), or, where the block uses up the E-degree or the -K
 degree, b = t.  Only a block that fits gets its remainder built, and on
-rank 7 the remainder must then pass the conic half of the test.  That cut
-drops about three quarters of the fitting remainders of a cold P2[6,0]
--3K before their picks are walked, and with them the factor values those
-picks would have read; the cubic's rank-3 test has no conic half.  A
-pick whose remainder would fail the beta balance I(beta_rem) <= E.t_rem -
-1 is skipped before any generator is made for it.
+rank 7 the remainder must then pass the conic half of the test, which on
+a cold P2[6,0] -3K drops most fitting remainders before their picks are
+walked, and with them the factor values those picks would have read; the
+cubic's rank-3 test has no conic half.  A pick whose remainder would fail
+the beta balance I(beta_rem) <= E.t_rem - 1 is skipped before the search
+descends into it.
 
 The search holds its remaining alpha budget and beta target packed
 (tangency.pack): one integer per vector, an 8-bit field per odd order
@@ -120,18 +129,17 @@ A state (D, alpha, beta) and its first-sum children (D, alpha + theta_k,
 beta - theta_k) repeat each other's searches: the child's alpha0 +
 theta_k and beta0 - theta_k give the parent's c = 2l + I(alpha0) +
 I(beta0), budgets and n - 1 - |beta0|.  The first search runs and every
-later one reads its result; an empty result is kept too, and a target
-that fails the root test gets no entry.  The blocks the asking state
-hands the search stay out of the key: every block of a complete
-collection of T is in the list of every state that reaches T, as the same
-object and in the one table order (the proof is at _split_terms), so a
-result does not depend on who asked.  The memo costs memory for every
-distinct search, not per state: a collection holds the blocks' own pick
-tuples, and a factor's value is read from the value memo when its term is
-assembled; the keys share one target tuple per distinct T.  On the cold
-twisted-cubic class -6K the 8 545 searches hold 50 732 collections, about
-4.4 MB of peak RSS (18.0 MB without the memo, 22.4 MB with it), and the
-memo cuts the search's nodes from 1.19 M to 0.45 M.
+later one reads its result; an empty result is kept too.  A target that
+_split_terms does not admit is never searched and gets no entry.  The
+blocks the asking state hands the search stay out of the key: every
+block of a complete collection of T is in the list of every state that
+reaches T, as the same object and in the one table order (the proof is
+at _split_terms), so a result does not depend on who asked.  The memo
+costs memory for every distinct search, not per state: a collection
+holds the blocks' own pick tuples, and a factor's value is read from the
+value memo when its term is assembled; the keys share one target tuple
+per distinct T.  In exchange a repeated search costs one lookup instead
+of its nodes.
 """
 
 from __future__ import annotations
@@ -270,7 +278,6 @@ class _Option:
 class _Block:
     """One candidate class and its picks, for the factor search."""
 
-    cls: DivisorClass
     coords: Tuple[int, ...]
     e_deg: int
     antik: int
@@ -327,10 +334,10 @@ def _option_template(e_deg: int) -> Tuple[tuple, ...]:
     """The decorations any candidate class of E-degree `e_deg` can carry, in
     canonical (alpha, beta) order.  A row is (alpha, alpha packed, beta,
     |beta|, gammas, alpha key, beta key, whether alpha = 0 and beta =
-    theta_1); the gammas are (gamma, beta - gamma, beta - gamma packed,
-    I(beta - gamma), beta_j) per order j in the support of beta.  The
-    packed forms (tangency.pack) are what the factor search compares and
-    subtracts; the vectors go into the records.  Beta stays nonzero:
+    theta_1); the gammas are (gamma, beta - gamma packed, I(beta - gamma),
+    beta_j) per order j in the support of beta.  The packed forms
+    (tangency.pack) are what the factor search compares and subtracts; the
+    vectors go into the records.  Beta stays nonzero:
     I(beta) = e_deg - I(alpha) >= 1.  Nothing here depends on the surface,
     so the rows are shared."""
     th1 = theta(1)
@@ -338,14 +345,12 @@ def _option_template(e_deg: int) -> Tuple[tuple, ...]:
     for ia in range(e_deg):
         for av in odd_partitions(ia):
             for bv in odd_partitions(e_deg - ia):
-                gammas = []
-                for j in bv.support():
-                    rest = bv - theta(j)
-                    gammas.append(
-                        (theta(j), rest, pack(rest), iweight(bv) - j, bv[j])
-                    )
+                gammas = tuple(
+                    (theta(j), pack(bv - theta(j)), iweight(bv) - j, bv[j])
+                    for j in bv.support()
+                )
                 rows.append(
-                    (av, pack(av), bv, norm(bv), tuple(gammas), av.key(),
+                    (av, pack(av), bv, norm(bv), gammas, av.key(),
                      bv.key(), not av and bv == th1)
                 )
     rows.sort(key=lambda row: (row[5], row[6]))
@@ -584,7 +589,9 @@ class Evaluator:
         n: int,
     ) -> Iterator[Summand]:
         """The split sum at (d, alpha, beta) of dimension n, by
-        (alpha0, beta0, l, pair subset).  Each search for the factor
+        (alpha0, beta0, l, pair subset).  The state admits its targets once
+        per (c, pair subset), and each (alpha0, beta0, l) tests only its
+        beta balance against them.  Each search for the factor
         collections runs once per route: _collections keeps its result
         under (T, alpha budget, beta target, n budget), for T the search's
         target, and serves it to every state that asks again.  A summand
@@ -613,20 +620,41 @@ class Evaluator:
           order.  So any two states' lists are ordered subsequences of one
           sequence, with the same objects.
 
-        The search yields exactly the collections whose blocks are all in
+        The search finds exactly the collections whose blocks are all in
         its list, each as its picks in list order, which is that one
         sequence's order.  So the same key gives the same tuple of the same
         pick objects from any state, and _symmetry_factor, which tests
         picks for identity, counts the same repeats.
         """
         spec = self.spec
-        # The targets T = D - E + c (K + E) - (pair classes), built on the
-        # coordinates with their two degrees; D - E is formed once.
+        zero_t = self._zero_coords
         ke, ke_antik, e_form = self._ke_coords, self._ke_antik, self._e_form
         d_minus_e = tuple(map(operator.sub, d.coords, spec.e_class.coords))
         te_base = spec.e_degree(d) + 1  # E.(D - E), as E.E = -1
         budget = spec.antik_degree(d) - 1  # -K.(D - E), as -K.E = 1
         blocks = self._local_blocks(route, budget, d_minus_e) if budget >= 1 else ()
+        # The targets T = D - E + c (K + E) - P, P a pair subset's class
+        # sum, built on the coordinates with their two degrees.  T depends
+        # on c and P only, so the state admits its targets once, per c from
+        # 0 while E.(D - E + c (K + E)) >= 0 (E.(K + E) = -2): the (T, E.T,
+        # -K.T, pair ids, weight) with T = 0, or with both degrees >= 1 and
+        # T feasible (picard.feasible).  Only these reach the search.
+        admitted = []
+        for c in range(te_base // 2 + 1):
+            t = tuple([x + c * y for x, y in zip(d_minus_e, ke)])
+            te = te_base - 2 * c
+            if sum(map(operator.mul, t, e_form)) != te:
+                raise InternalCheckError("degree bookkeeping failed on T")
+            ak = budget + c * ke_antik
+            row = []
+            for pair_ids, p_coords, p_te, p_ak, p_weight in route.pair_subsets:
+                tp = tuple(map(operator.sub, t, p_coords))
+                tp_te, tp_ak = te - p_te, ak - p_ak
+                if tp == zero_t or (
+                    tp_te >= 1 and tp_ak >= 1 and feasible(spec.lattice, tp)
+                ):
+                    row.append((tp, tp_te, tp_ak, pair_ids, p_weight))
+            admitted.append(row)
         n1 = n - 1
         # The search takes its alpha budget and beta target packed
         # (tangency.pack).  The beta0 choices do not depend on alpha0, so
@@ -643,27 +671,24 @@ class Evaluator:
             a_budget = p_alpha - pack(alpha0)
             for beta0, nb0, ib0, bm_target in beta0s:
                 ns_target = n1 - nb0
-                l = 0
-                while l <= route.l_max:
-                    c = 2 * l + ia0 + ib0
-                    te = te_base - 2 * c  # E.(K + E) = -2
-                    if te < 0:
+                ibm = i_beta - ib0
+                # c = 2l + I(alpha0) + I(beta0) for l = 0, 1, ...
+                for l, row in enumerate(admitted[ia0 + ib0::2]):
+                    if l > route.l_max:
                         break
-                    t = tuple([x + c * y for x, y in zip(d_minus_e, ke)])
-                    if sum(map(operator.mul, t, e_form)) != te:
-                        raise InternalCheckError("degree bookkeeping failed on T")
-                    ak = budget + c * ke_antik
-                    for pair_ids, p_coords, p_te, p_ak, p_weight in route.pair_subsets:
+                    for t, te, ak, pair_ids, p_weight in row:
+                        # a nonzero T needs the beta balance I(beta - beta0)
+                        # <= E.T - 1
+                        if te and ibm >= te:
+                            continue
                         for chosen in self._collections(
-                            route, tuple(map(operator.sub, t, p_coords)), te - p_te,
-                            ak - p_ak, a_budget, bm_target, i_beta - ib0,
-                            ns_target, blocks,
+                            route, t, te, ak, a_budget, bm_target, ibm, ns_target,
+                            blocks,
                         ):
                             yield self._make_term(
                                 route, n1, l, alpha, alpha0, beta0, nb0, chosen,
                                 pair_ids, p_weight,
                             )
-                    l += 1
 
     def _collections(
         self,
@@ -676,27 +701,137 @@ class Evaluator:
         ibm0: int,
         ns_target: int,
         blocks: Tuple[_Block, ...],
-    ) -> Tuple[tuple, ...]:
-        """The complete factor collections of one search (the arguments of
-        _factor_multisets), from the route's search memo or, on a miss,
-        searched and kept there, an empty result included.  A target that
-        is not feasible, or whose degrees leave no room for a nonzero
-        remainder, gets no entry.  te0 and ak0 are linear in t_root and
-        ibm0 is I(bm_target), so the key leaves them out; why it leaves out
-        the blocks is in _split_terms."""
-        if t_root != self._zero_coords and (te0 < 1 or ak0 < 1 or ibm0 > te0 - 1):
-            return ()
-        if not feasible(self.spec.lattice, t_root):
-            return ()
-        key = (t_root, a_budget, bm_target, ns_target)
-        found = route.searches.get(key)
-        if found is None:
-            found = tuple(self._factor_multisets(
-                route, t_root, te0, ak0, a_budget, bm_target, ibm0, ns_target,
-                blocks,
-            ))
-            t_root = route.targets.setdefault(t_root, t_root)
-            route.searches[(t_root, a_budget, bm_target, ns_target)] = found
+    ) -> Tuple[Tuple[Tuple[_Option, tuple, int], ...], ...]:
+        """The unordered factor collections that match one search's budgets
+        exactly, from the route's search memo or, on a miss, searched and
+        kept there, an empty result included.
+
+        The target is given by its coordinates t_root, its E-degree te0 and
+        its -K degree ak0.  The alpha budget and the beta target
+        sum(beta_i - gamma_i) come packed (tangency.pack), with ibm0 the
+        target's I.  _split_terms hands over only admitted targets: zero, or
+        feasible with both degrees >= 1 and the beta balance ibm0 <= te0 -
+        1.  te0 and ak0 are linear in t_root and ibm0 is I(bm_target), so
+        the key leaves them out; why it leaves out the blocks is in
+        _split_terms.  A collection is a tuple of the blocks' picks in
+        non-decreasing canonical order, each unordered collection once.
+        Rigid options (n_i = 0 with no fixed tangencies) appear at most once
+        each; the blocks of the reduced route further restrict them to real
+        lines other than E carrying a single simple moving branch.
+        """
+        found = route.searches.get((t_root, a_budget, bm_target, ns_target))
+        if found is not None:
+            return found
+        zero_t = self._zero_coords
+        cubic = self._cubic
+        n_blocks = len(blocks)
+        memo = route.memo
+        value_of = self._value
+        guard = GUARD
+        complete = []
+
+        def dfs(
+            b0: int,
+            p0: int,
+            t_rem: Tuple[int, ...],
+            te_rem: int,
+            ak_rem: int,
+            a_rem: int,
+            bm_rem: int,
+            ibm_rem: int,
+            ns_rem: int,
+            acc: list,
+        ):
+            if t_rem == zero_t:
+                if not bm_rem and ns_rem == 0:
+                    complete.append(tuple(acc))
+                return
+            # te_rem >= 1, ak_rem >= 1, the beta balance ibm_rem <= te_rem - 1
+            # and a feasible t_rem hold already: the root is admitted by
+            # _split_terms, every descent is checked below.
+            if cubic:
+                t0, t1, t2 = t_rem
+            else:
+                t0, t1, t2, t3, t4, t5, t6 = t_rem
+                s1, s2 = t1 - 1, t2 - 1
+            # x <= a_rem iff (a_guard - x) & guard == guard, for packed x
+            a_guard, bm_guard = a_rem | guard, bm_rem | guard
+            for bi in range(b0, n_blocks):
+                blk = blocks[bi]
+                new_ak = ak_rem - blk.antik
+                if new_ak < 0:
+                    break  # blocks ascend in anticanonical degree
+                new_te = te_rem - blk.e_deg
+                if new_te < 0:
+                    continue
+                # A nonzero remainder needs both degrees >= 1, so at a zero
+                # degree only the block that is the whole remainder goes on,
+                # and it must use up beta.  Otherwise the block fits when
+                # t_rem - c is feasible (picard.feasible): the fit is tested on
+                # the coordinates before the remainder is built, and on rank
+                # 7 the conic cut on the remainder after.  A pick then keeps
+                # the beta balance of the nonzero remainder, ibm_d >= ibm_lo.
+                c = blk.coords
+                if new_te == 0 or new_ak == 0:
+                    if c != t_rem:
+                        continue
+                    new_t = zero_t
+                    ibm_lo = ibm_rem
+                elif cubic:
+                    if c[0] > t0 or c[1] > t1 or c[2] > t2:
+                        continue
+                    new_t = (t0 - c[0], t1 - c[1], t2 - c[2])
+                    ibm_lo = ibm_rem - new_te + 1
+                else:
+                    if (
+                        c[0] > t0 or c[1] < s1 or c[2] < s2 or c[3] < t3
+                        or c[4] < t4 or c[5] < t5 or c[6] < t6
+                    ):
+                        continue
+                    new_t = (
+                        t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
+                        t4 - c[4], t5 - c[5], t6 - c[6],
+                    )
+                    # the conic half of picard.feasible, inlined
+                    u = sorted(new_t[1:])
+                    d_new = new_t[0]
+                    if (
+                        u[0] + (d_new if d_new < new_ak else new_ak) < 0
+                        or new_ak - d_new < u[4] + u[5]
+                    ):
+                        continue
+                    ibm_lo = ibm_rem - new_te + 1
+                # The value is read before the branch is tested, so a state
+                # is evaluated whenever its option fits n and alpha.
+                for pick in blk.picks[p0 if bi == b0 else 0:]:
+                    opt, row, p_next = pick
+                    if opt.n_i > ns_rem:
+                        continue
+                    p_a = opt.palpha
+                    if p_a and (a_guard - p_a) & guard != guard:
+                        continue
+                    value = memo.get(opt.memo_key)
+                    if value is None:
+                        value = value_of(route, opt.cls, opt.alpha, opt.beta)
+                    if value == 0:
+                        continue
+                    _, p_bm, ibm_d, _ = row
+                    if (
+                        ibm_d > ibm_rem or ibm_d < ibm_lo
+                        or (bm_guard - p_bm) & guard != guard
+                    ):
+                        continue
+                    acc.append(pick)
+                    dfs(
+                        bi, p_next, new_t, new_te, new_ak, a_rem - p_a,
+                        bm_rem - p_bm, ibm_rem - ibm_d, ns_rem - opt.n_i, acc,
+                    )
+                    acc.pop()
+
+        dfs(0, 0, t_root, te0, ak0, a_budget, bm_target, ibm0, ns_target, [])
+        found = tuple(complete)
+        t_root = route.targets.setdefault(t_root, t_root)
+        route.searches[(t_root, a_budget, bm_target, ns_target)] = found
         return found
 
     def _make_term(
@@ -733,7 +868,7 @@ class Evaluator:
         memo = route.memo
         value = coeff * pair_weight
         for opt, row, _ in chosen:
-            bweight = row[4]
+            bweight = row[3]
             coeff *= bweight
             value *= bweight * memo[opt.memo_key]
         return ("split", None, l, alpha0, beta0, chosen, pair_ids, coeff, value)
@@ -801,7 +936,7 @@ class Evaluator:
                     continue
                 e_deg, antik = spec.e_degree(cls), spec.antik_degree(cls)
                 blk = _Block(
-                    cls, cls.coords, e_deg, antik,
+                    cls.coords, e_deg, antik,
                     self._picks(cls, e_deg, antik, route.rigid_lines_only),
                 )
             new.append(blk)
@@ -870,140 +1005,6 @@ class Evaluator:
                 continue
             kept.append(b)
         return tuple(kept)
-
-    def _factor_multisets(
-        self,
-        route: _Route,
-        t_root: Tuple[int, ...],
-        te0: int,
-        ak0: int,
-        a_budget: int,
-        bm_target: int,
-        ibm0: int,
-        ns_target: int,
-        blocks: Tuple[_Block, ...],
-    ) -> Iterator[Tuple[Tuple[_Option, tuple, int], ...]]:
-        """Unordered factor collections matching all budgets exactly.
-
-        The target is given by its coordinates t_root, its E-degree te0 and
-        its -K degree ak0.  The alpha budget and the beta target
-        sum(beta_i - gamma_i) come packed (tangency.pack), with ibm0 the
-        target's I.  The caller (_collections) has tested that the target is
-        feasible and, unless it is zero, has both degrees >= 1 and the
-        beta balance ibm0 <= te0 - 1.  Yields tuples of the blocks' picks
-        in non-decreasing canonical order; each unordered collection once.
-        Rigid options (n_i = 0 with no fixed tangencies) appear at most once
-        each; the blocks of the reduced route further restrict them to real
-        lines other than E carrying a single simple moving branch.
-        """
-        zero_t = self._zero_coords
-        cubic = self._cubic
-        n_blocks = len(blocks)
-        memo = route.memo
-        value_of = self._value
-        guard = GUARD
-
-        def dfs(
-            b0: int,
-            p0: int,
-            t_rem: Tuple[int, ...],
-            te_rem: int,
-            ak_rem: int,
-            a_rem: int,
-            bm_rem: int,
-            ibm_rem: int,
-            ns_rem: int,
-            acc: list,
-        ):
-            if t_rem == zero_t:
-                if not bm_rem and ns_rem == 0:
-                    yield tuple(acc)
-                return
-            # te_rem >= 1, ak_rem >= 1, the beta balance ibm_rem <= te_rem - 1
-            # and a feasible t_rem hold already: the root is checked by the
-            # caller, every descent below.
-            if cubic:
-                t0, t1, t2 = t_rem
-            else:
-                t0, t1, t2, t3, t4, t5, t6 = t_rem
-                s1, s2 = t1 - 1, t2 - 1
-            # x <= a_rem iff (a_guard - x) & guard == guard, for packed x
-            a_guard, bm_guard = a_rem | guard, bm_rem | guard
-            for bi in range(b0, n_blocks):
-                blk = blocks[bi]
-                new_ak = ak_rem - blk.antik
-                if new_ak < 0:
-                    break  # blocks ascend in anticanonical degree
-                new_te = te_rem - blk.e_deg
-                if new_te < 0:
-                    continue
-                # A nonzero remainder needs both degrees >= 1, so at a zero
-                # degree only the block that is the whole remainder goes on,
-                # and it must use up beta.  Otherwise the block fits when
-                # t_rem - c is feasible (picard.feasible): the fit is tested on
-                # the coordinates before the remainder is built, and on rank
-                # 7 the conic cut on the remainder after.  A pick then keeps
-                # the beta balance of the nonzero remainder, ibm_d >= ibm_lo.
-                c = blk.coords
-                if new_te == 0 or new_ak == 0:
-                    if c != t_rem:
-                        continue
-                    new_t = zero_t
-                    ibm_lo = ibm_rem
-                elif cubic:
-                    if c[0] > t0 or c[1] > t1 or c[2] > t2:
-                        continue
-                    new_t = (t0 - c[0], t1 - c[1], t2 - c[2])
-                    ibm_lo = ibm_rem - new_te + 1
-                else:
-                    if (
-                        c[0] > t0 or c[1] < s1 or c[2] < s2 or c[3] < t3
-                        or c[4] < t4 or c[5] < t5 or c[6] < t6
-                    ):
-                        continue
-                    new_t = (
-                        t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
-                        t4 - c[4], t5 - c[5], t6 - c[6],
-                    )
-                    # the conic half of picard.feasible, inlined
-                    u = sorted(new_t[1:])
-                    d_new = new_t[0]
-                    if (
-                        u[0] + (d_new if d_new < new_ak else new_ak) < 0
-                        or new_ak - d_new < u[4] + u[5]
-                    ):
-                        continue
-                    ibm_lo = ibm_rem - new_te + 1
-                # The value is read before the branch is tested, so a state
-                # is evaluated whenever its option fits n and alpha.
-                for pick in blk.picks[p0 if bi == b0 else 0:]:
-                    opt, row, p_next = pick
-                    if opt.n_i > ns_rem:
-                        continue
-                    p_a = opt.palpha
-                    if p_a and (a_guard - p_a) & guard != guard:
-                        continue
-                    value = memo.get(opt.memo_key)
-                    if value is None:
-                        value = value_of(route, opt.cls, opt.alpha, opt.beta)
-                    if value == 0:
-                        continue
-                    _, _, p_bm, ibm_d, _ = row
-                    if (
-                        ibm_d > ibm_rem or ibm_d < ibm_lo
-                        or (bm_guard - p_bm) & guard != guard
-                    ):
-                        continue
-                    acc.append(pick)
-                    yield from dfs(
-                        bi, p_next, new_t, new_te, new_ak, a_rem - p_a,
-                        bm_rem - p_bm, ibm_rem - ibm_d, ns_rem - opt.n_i, acc,
-                    )
-                    acc.pop()
-
-        yield from dfs(
-            0, 0, t_root, te0, ak0, a_budget, bm_target, ibm0, ns_target, [],
-        )
 
 
 def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:

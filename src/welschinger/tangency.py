@@ -200,7 +200,8 @@ def enumerate_le(v: TangencyVector) -> Iterator[TangencyVector]:
     keys = v.support()
     ranges = [range(v[k] + 1) for k in keys]
     for counts in itertools.product(*ranges):
-        yield TangencyVector(zip(keys, counts))
+        # the orders are sorted already; only the zero counts drop out
+        yield _from_sorted(tuple((k, c) for k, c in zip(keys, counts) if c))
 
 
 def odd_partitions(total: int) -> Tuple[TangencyVector, ...]:

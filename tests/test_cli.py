@@ -415,8 +415,9 @@ def test_warm_compute_does_not_rewrite_store(capsys, tmp_path, monkeypatch):
     assert len(saves) == 1 and saves[0] > len(cache_load(str(path)))
 
 
-# sha256 of `trace --no-cache` stdout for four fixed keys.  The trace bytes
+# sha256 of `trace --no-cache` stdout for seven fixed keys.  The trace bytes
 # are part of the output contract: refactoring the recursion must keep them.
+# The last three split with pair items, the first of them also with l >= 1.
 PINNED_TRACES = [
     (("--surface", "P2[6,0]", "--class", "-2K", "--alpha", "1:1", "--beta", "1:1"),
      30, "856", "59e56cd38b5d436d81c4ef2e446d2cfbcdc2b4122b2d856f28822fa34280adcc"),
@@ -427,6 +428,15 @@ PINNED_TRACES = [
     (("--surface", "B1", "--twist", "F", "--class", "-K", "--alpha", "1:1",
       "--beta", "0"),
      7, "2", "7d6f4b4fa1f08798e3fb818ba55d032d70628cc751dd26c7fce7f8ce88d30994"),
+    (("--surface", "B1", "--twist", "F", "--class", "1,3,3", "--alpha", "1:5",
+      "--beta", "0"),
+     33, "20", "727721189fb02f10356742e5c0e5986cf67b9986b38f0eb8a6c275877b7ca2ba"),
+    (("--surface", "P2[2,2]", "--class", "5;1,1,2,2,2,2", "--alpha", "1:3",
+      "--beta", "0"),
+     18, "6", "e0f6e0a91b6be292a7a00d3d623819fdca20f3cfb92da4bde8cf4e8781ea0506"),
+    (("--surface", "P2[0,3]", "--class", "5;1,1,2,2,2,2", "--alpha", "1:3",
+      "--beta", "0"),
+     10, "2", "f912024837a9ec1902a73bff42ca26be7d949f5e8a62c5b7709c209a1ca3edcf"),
 ]
 
 

@@ -25,7 +25,9 @@ from welschinger.picard import (
     P2_LATTICE, DivisorClass, candidate_factors, feasible, nef_classes_up_to,
 )
 from welschinger.surfaces import make_surface
-from welschinger.tangency import TangencyVector, iweight, norm, odd_partitions, theta
+from welschinger.tangency import (
+    TangencyVector, enumerate_le, iweight, norm, odd_partitions, theta,
+)
 
 ZERO = TangencyVector.zero()
 
@@ -323,17 +325,6 @@ def _pack(v):
     return sum(c << 8 * (k // 2) for k, c in v)
 
 
-def _unpack(packed):
-    """The vector a packed budget stands for (the inverse of _pack)."""
-    entries = {}
-    k = 1
-    while packed:
-        entries[k] = packed & 0xFF
-        packed >>= 8
-        k += 2
-    return TangencyVector(entries)
-
-
 def _per_class_options(spec, cls, rigid_lines_only):
     """Reference for Evaluator._picks: the per-class loop it replaced,
     recomputing the odd partitions, r_dim_class, the real-line rule and the
@@ -355,8 +346,7 @@ def _per_class_options(spec, cls, rigid_lines_only):
                 ):
                     continue
                 gammas = [
-                    (theta(j), bv - theta(j), _pack(bv - theta(j)), iweight(bv) - j,
-                     bv[j])
+                    (theta(j), _pack(bv - theta(j)), iweight(bv) - j, bv[j])
                     for j in bv.support()
                 ]
                 opt = engine._Option(
@@ -414,23 +404,29 @@ def _splittable(spec, t):
 
 
 class _LinearScanEvaluator(Evaluator):
-    """Evaluator whose factor search subtracts every block from the
+    """Evaluator with a split sum and a factor search of its own.
+
+    Its split sum walks every (alpha0, beta0, l, pair subset) and hands its
+    search every target T = D - E + c (K + E) - P, c = 2l + I(alpha0) +
+    I(beta0), P the subset's class sum, until E.(D - E + c (K + E)) < 0:
+    the targets Evaluator._split_terms refuses at admission included.  The
+    search keeps its own root test (_splittable, both degrees >= 1 and the
+    beta balance I(beta target) <= E.T - 1 unless T = 0), takes the
+    target's degrees from the lattice, subtracts every block from the
     remainder and then tests the difference with _splittable: the scan the
-    inline fit test of Evaluator._factor_multisets replaced.  It takes the
-    target's degrees from the lattice, and checks the ones it is handed.
-    It searches every candidate of the whole cone up to the budget, not
-    only the blocks the table holds for the c = 0 target, so it also checks
-    that no complete collection uses a block the target leaves out.  It
-    regroups each block's picks by option and walks the options and their
-    gammas in loops of its own, with the rule the picks' restart indices
-    replaced: a collection restarts at its last (option, gamma), and a
-    rigid option (n_i = 0, alpha = 0) is taken at most once; it emits the
-    block's own pick objects.  It decodes the packed alpha budget and beta
-    target it is handed with _unpack and compares and subtracts
-    TangencyVector objects, as the search did before its budgets were
-    packed.  It keeps no search memo: every search of every state runs
-    afresh, so a search key that left out a field the collections depend
-    on would show as a difference."""
+    inline fit test of the engine's search replaced.  It searches every
+    candidate of the whole cone up to the budget, not only the blocks the
+    table holds for the c = 0 target, so it also checks that no complete
+    collection uses a block the target leaves out.  It regroups each
+    block's picks by option and walks the options and their gammas in
+    loops of its own, with the rule the picks' restart indices replaced: a
+    collection restarts at its last (option, gamma), and a rigid option
+    (n_i = 0, alpha = 0) is taken at most once; it emits the block's own
+    pick objects.  Its alpha budget and beta target are TangencyVector
+    objects, never the packed forms the engine's search takes.  It keeps
+    no search memo: every search of every state runs afresh, so a search
+    key that left out a field the collections depend on would show as a
+    difference."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -444,26 +440,43 @@ class _LinearScanEvaluator(Evaluator):
             entry = self._grouped[id(blk)] = (blk, _by_option(blk.picks))
         return entry[1]
 
-    def _local_blocks(self, route, budget, tc):
-        return tuple(b for b in self._table(route, budget, None) if b.antik <= budget)
-
-    def _collections(self, route, *search):
-        return self._factor_multisets(route, *search)
-
-    def _factor_multisets(
-        self, route, t0, te_given, ak_given, a_packed, bm_packed, ibm_given,
-        ns_target, blocks,
-    ):
+    def _split_terms(self, route, d, alpha, beta, n):
         spec = self.spec
+        t_base, ke = d - spec.e_class, spec.k_plus_e()
+        budget = spec.antik_degree(d) - 1
+        blocks = ()
+        if budget >= 1:
+            blocks = tuple(
+                b for b in self._table(route, budget, None) if b.antik <= budget
+            )
+        for alpha0 in enumerate_le(alpha):
+            for beta0 in enumerate_le(beta):
+                nb0 = norm(beta0)
+                if nb0 > n - 1:
+                    continue
+                l = 0
+                while l <= route.l_max:
+                    t = t_base + ke * (2 * l + iweight(alpha0) + iweight(beta0))
+                    if spec.e_degree(t) < 0:
+                        break
+                    for pair_ids, p_coords, _, _, p_weight in route.pair_subsets:
+                        for chosen in self._search(
+                            route, (t - DivisorClass(p_coords)).coords,
+                            alpha - alpha0, beta - beta0, n - 1 - nb0, blocks,
+                        ):
+                            yield self._make_term(
+                                route, n - 1, l, alpha, alpha0, beta0, nb0, chosen,
+                                pair_ids, p_weight,
+                            )
+                    l += 1
+
+    def _search(self, route, t0, alpha_budget, bm_target, ns_target, blocks):
+        spec = self.spec
+        if not _splittable(spec, t0):
+            return
         t_class = DivisorClass(t0)
         te0 = spec.e_degree(t_class)
         ak0 = spec.antik_degree(t_class)
-        assert (te_given, ak_given) == (te0, ak0), t0
-        alpha_budget, bm_target = _unpack(a_packed), _unpack(bm_packed)
-        ibm0 = iweight(bm_target)
-        assert ibm_given == ibm0, (bm_target, ibm_given)
-        if not _splittable(spec, t0):
-            return
         zero_t = self._zero_coords
         feasible = functools.partial(_splittable, spec)
         n_blocks = len(blocks)
@@ -508,7 +521,8 @@ class _LinearScanEvaluator(Evaluator):
                     new_a = a_rem - opt.alpha
                     g_begin = g0 if same else 0
                     for g_idx in range(g_begin, len(picks)):
-                        _, beta_minus, _, ibm_d, _ = picks[g_idx][1]
+                        gamma, _, ibm_d, _ = picks[g_idx][1]
+                        beta_minus = opt.beta - gamma
                         if ibm_d > ibm_rem or not beta_minus <= bm_rem:
                             continue
                         acc.append(picks[g_idx])
@@ -520,7 +534,8 @@ class _LinearScanEvaluator(Evaluator):
                         acc.pop()
 
         yield from dfs(
-            0, 0, 0, False, t0, te0, ak0, alpha_budget, bm_target, ibm0, ns_target, []
+            0, 0, 0, False, t0, te0, ak0, alpha_budget, bm_target,
+            iweight(bm_target), ns_target, [],
         )
 
 
@@ -677,7 +692,8 @@ def test_cold_eval_enumerates_candidates_once(monkeypatch):
 
 def _table_rows(blocks):
     return [
-        (b.cls, b.antik, [(o.alpha, o.beta, row[0], p) for o, row, p in b.picks])
+        (DivisorClass(b.coords), b.antik,
+         [(o.alpha, o.beta, row[0], p) for o, row, p in b.picks])
         for b in blocks
     ]
 

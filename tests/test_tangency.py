@@ -97,6 +97,10 @@ def test_enumerate_le_cardinality_and_oddness(v):
     assert len(items) == expected
     assert len(set(items)) == expected
     assert all(w <= v for w in items)
+    # each is the vector the validating constructor builds from its entries
+    for w in items:
+        built = TangencyVector(w.key())
+        assert w == built and hash(w) == hash(built) and str(w) == str(built)
     if is_odd_support(v):
         assert all(is_odd_support(w) for w in items)
 
