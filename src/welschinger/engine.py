@@ -99,18 +99,22 @@ test only the beta balance I(beta - beta0) <= E.T - 1 of a nonzero T.
 Only _split_terms decides which targets a state can split into; the
 search takes what it is handed.
 
-The factor search is one loop over the blocks in table order and their
-picks from that index on.  Before it descends into a block it tests that
-the remainder t - b is feasible, the coordinate fit first (rank 7:
-b_0 <= t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3;
-rank 3: b_i <= t_i), or, where the block uses up the E-degree or the -K
-degree, b = t.  Only a block that fits gets its remainder built, and on
+The factor search walks the route's whole table: at a node with
+remainder t, the blocks from the node's block index on in table order,
+and their picks from that index on.  It descends into a block b only when
+t - b is feasible, the coordinate fit first (rank 7: b_0 <= t_0, b_1 >=
+t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3; rank 3: b_i <= t_i), or,
+where the block uses up the E-degree or the -K degree, when b = t.  On
 rank 7 the remainder must then pass the conic half of the test, which on
 a cold P2[6,0] -3K drops most fitting remainders before their picks are
 walked, and with them the factor values those picks would have read; the
-cubic's rank-3 test has no conic half.  A pick whose remainder would fail
-the beta balance I(beta_rem) <= E.t_rem - 1 is skipped before the search
-descends into it.
+cubic's rank-3 test has no conic half.  The tests depend only on t and
+the table, so they run once per (table, remainder): each table keeps a
+fit memo, per remainder the blocks that fit and their remainders t - b
+(_fitting), and a node reads it from its own block index on (bisect).  On
+rank 7 a block must also fit the asking state's D - E on slots 1 and 2
+(see _collections).  A pick whose remainder would fail the beta balance
+I(beta_rem) <= E.t_rem - 1 is skipped before the search descends into it.
 
 The search holds its remaining alpha budget and beta target packed
 (tangency.pack): one integer per vector, an 8-bit field per odd order
@@ -131,15 +135,17 @@ theta_k and beta0 - theta_k give the parent's c = 2l + I(alpha0) +
 I(beta0), budgets and n - 1 - |beta0|.  The first search runs and every
 later one reads its result; an empty result is kept too.  A target that
 _split_terms does not admit is never searched and gets no entry.  The
-blocks the asking state hands the search stay out of the key: every
-block of a complete collection of T is in the list of every state that
-reaches T, as the same object and in the one table order (the proof is
-at _split_terms), so a result does not depend on who asked.  The memo
-costs memory for every distinct search, not per state: a collection
-holds the blocks' own pick tuples, and a factor's value is read from the
-value memo when its term is assembled; the keys share one target tuple
-per distinct T.  In exchange a repeated search costs one lookup instead
-of its nodes.
+table the search walks stays out of the key: every table that covers a
+state reaching T holds every block of every complete collection of T, as
+the same object and in the one table order (the proof is at
+_split_terms), so a result does not depend on who asked.  The memo costs
+memory for every distinct search, not per state: a collection holds the
+blocks' own pick tuples, and a factor's value is read from the value
+memo when its term is assembled.  The search keys and the fit memos share
+one tuple per distinct target or remainder (the route's targets), and a
+fit memo holds one flat tuple per remainder, block indices then
+remainders; it goes with its table when a switch or growth replaces it.
+In exchange a repeated search costs one lookup instead of its nodes.
 """
 
 from __future__ import annotations
@@ -150,6 +156,7 @@ import math
 import operator
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -298,14 +305,16 @@ class _Route:
     pair_subsets: Tuple[Tuple[Tuple[str, ...], Tuple[int, ...], int, int, int], ...]
     rigid_lines_only: bool  # rigid factors must be real lines other than E
     # (budget, c = 0 target or None for the whole cone, blocks of every
-    # candidate of -K degree <= budget the target can hold); only ever
+    # candidate of -K degree <= budget the target can hold, the blocks' fit
+    # memo: remainder coords -> Evaluator._fitting of it); only ever
     # replaced whole, see Evaluator._table
-    table: Tuple[int, Optional[Tuple[int, ...]], Tuple[_Block, ...]] = (0, None, ())
+    table: tuple = field(default_factory=lambda: (0, None, (), {}))
     store: Optional[Store] = None  # read on a memo miss; full route only
     # (target coords, alpha budget, beta target, n budget) -> the complete
     # factor collections of that search; see Evaluator._split_terms
     searches: Dict[tuple, tuple] = field(default_factory=dict)
-    # one tuple object per distinct search target, shared by their keys
+    # one tuple object per distinct search target or remainder, shared by
+    # the search memo's keys and the fit memos
     targets: Dict[tuple, tuple] = field(default_factory=dict)
 
 
@@ -378,16 +387,18 @@ def _multinomial_exact(total: int, parts: List[int], context: str) -> int:
 class Evaluator:
     """Shared-store evaluator bound to one surface specification.
 
-    Thread-safety: the memos, of values and of searches, change only by
-    idempotent dictionary inserts keyed by canonical value-determining
-    keys, so concurrent use from several threads converges to identical
+    Thread-safety: every memo (values, searches, the tables' fit memos)
+    changes only by idempotent dictionary inserts under canonical
+    value-determining keys, so concurrent use converges to identical
     contents: two threads that make the same search at once store equal
     tuples of the same pick objects (see _split_terms).  A route's factor
-    table is never mutated in place: switching it to the whole cone or
-    growing it builds a new tuple and replaces the route's (budget, target,
-    blocks) triple in one assignment, so a reader holds either the old
-    table or the new one, each complete for the budget and target it records,
-    and searches the one it was handed for its own request.
+    table is never mutated in place: a switch to the whole cone or a
+    growth replaces the route's (budget, target, blocks, fit memo), the
+    memo new and empty, in one assignment, so a reader holds the old table
+    or the new one, each complete for its budget and target.  A search
+    keeps the blocks and fit memo it was handed as one pair, so a nested
+    evaluation that replaces the table cannot make its indices point into
+    another table.
     """
 
     def __init__(
@@ -600,31 +611,33 @@ class Evaluator:
         theta_k, beta - theta_k) have the same c, the same budgets and so
         the same searches.
 
-        The blocks a state hands the search stay out of that key, since
-        the result does not depend on them.  Let T = t + c (K + E) - P be
+        The table a state hands the search stays out of that key, since
+        the result does not depend on it.  Let T = t + c (K + E) - P be
         the target of a search of a state with c = 0 target t = D - E.
 
         * A block b of a complete collection of T fits t: T - b is the sum
           of the collection's other blocks, so it is feasible, and then
           t - b = (T - b) - c (K + E) + P is feasible by the argument in
           _table.  That holds for every state that reaches T, whatever its
-          t.
-        * So b is in the table that covers t (the proof at _table), and it
-          passes the coordinate filter of _local_blocks, which is the
-          coordinate half of feasible(t - b).  Its -K degree is at most
-          -K.T <= -K.t, the list's budget, as -K.(K + E) = -2 and -K.P >=
-          0.  Every state's list of blocks therefore holds every block of
-          every complete collection of T.
+          t, so b also passes the search's floors.
+        * Its -K degree is at most -K.T <= -K.t, the state's budget, as
+          -K.(K + E) = -2 and -K.P >= 0.  So b is in the table that covers
+          t at that budget (the proof at _table): every state's table holds
+          every block of every complete collection of T.  A table may hold
+          more, blocks of larger degree or of the whole cone, but no
+          complete collection of T uses them.
         * A table switch or growth keeps the blocks it had, as the same
-          objects, and every table and list is in (-K degree, coords)
-          order.  So any two states' lists are ordered subsequences of one
-          sequence, with the same objects.
+          objects, and every table is in (-K degree, coords) order.  So any
+          two states' tables are ordered subsequences of one sequence, with
+          the same objects.
 
         The search finds exactly the collections whose blocks are all in
-        its list, each as its picks in list order, which is that one
-        sequence's order.  So the same key gives the same tuple of the same
-        pick objects from any state, and _symmetry_factor, which tests
-        picks for identity, counts the same repeats.
+        its table, each as its picks in table order, which is that one
+        sequence's order: the fit memo it reads lists a remainder's blocks
+        by their index in that same table, ascending.  So the same key
+        gives the same tuple of the same pick objects from any state, and
+        _symmetry_factor, which tests picks for identity, counts the same
+        repeats.
         """
         spec = self.spec
         zero_t = self._zero_coords
@@ -632,7 +645,10 @@ class Evaluator:
         d_minus_e = tuple(map(operator.sub, d.coords, spec.e_class.coords))
         te_base = spec.e_degree(d) + 1  # E.(D - E), as E.E = -1
         budget = spec.antik_degree(d) - 1  # -K.(D - E), as -K.E = 1
-        blocks = self._local_blocks(route, budget, d_minus_e) if budget >= 1 else ()
+        table = self._table(route, budget, d_minus_e) if budget >= 1 else ((), {})
+        # rank 7: the floors t_1 - 1 and t_2 - 1 of the coordinate fit to t
+        # on slots 1 and 2 (see _collections); rank 3 has none
+        floor = (-math.inf,) * 2 if self._cubic else (d_minus_e[1] - 1, d_minus_e[2] - 1)
         # The targets T = D - E + c (K + E) - P, P a pair subset's class
         # sum, built on the coordinates with their two degrees.  T depends
         # on c and P only, so the state admits its targets once, per c from
@@ -683,7 +699,7 @@ class Evaluator:
                             continue
                         for chosen in self._collections(
                             route, t, te, ak, a_budget, bm_target, ibm, ns_target,
-                            blocks,
+                            table, floor,
                         ):
                             yield self._make_term(
                                 route, n1, l, alpha, alpha0, beta0, nb0, chosen,
@@ -700,7 +716,8 @@ class Evaluator:
         bm_target: int,
         ibm0: int,
         ns_target: int,
-        blocks: Tuple[_Block, ...],
+        table: Tuple[Tuple[_Block, ...], Dict[tuple, tuple]],
+        floor: Tuple[float, float],
     ) -> Tuple[Tuple[Tuple[_Option, tuple, int], ...], ...]:
         """The unordered factor collections that match one search's budgets
         exactly, from the route's search memo or, on a miss, searched and
@@ -712,35 +729,36 @@ class Evaluator:
         target's I.  _split_terms hands over only admitted targets: zero, or
         feasible with both degrees >= 1 and the beta balance ibm0 <= te0 -
         1.  te0 and ak0 are linear in t_root and ibm0 is I(bm_target), so
-        the key leaves them out; why it leaves out the blocks is in
-        _split_terms.  A collection is a tuple of the blocks' picks in
-        non-decreasing canonical order, each unordered collection once.
+        the key leaves them out; why it leaves out the table, the (blocks,
+        fit memo) pair _table returns, is in _split_terms.  A collection is
+        a tuple of the blocks' picks in non-decreasing canonical order, each
+        unordered collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
         each; the blocks of the reduced route further restrict them to real
         lines other than E carrying a single simple moving branch.
+
+        floor holds the asking state's fit floors t_1 - 1 and t_2 - 1, t =
+        D - E (rank 3: none).  A block that fits a node's remainder can miss
+        them, after an E_1 or E_2 or with the pair E_1 + E_2, though no
+        complete collection holds it (_split_terms): the search skips it and
+        reads no value for it.
         """
         found = route.searches.get((t_root, a_budget, bm_target, ns_target))
         if found is not None:
             return found
+        blocks, fits = table
+        floor1, floor2 = floor
         zero_t = self._zero_coords
-        cubic = self._cubic
-        n_blocks = len(blocks)
+        t_root = route.targets.setdefault(t_root, t_root)
         memo = route.memo
         value_of = self._value
+        fitting = self._fitting
         guard = GUARD
         complete = []
 
         def dfs(
-            b0: int,
-            p0: int,
-            t_rem: Tuple[int, ...],
-            te_rem: int,
-            ak_rem: int,
-            a_rem: int,
-            bm_rem: int,
-            ibm_rem: int,
-            ns_rem: int,
-            acc: list,
+            b0: int, p0: int, t_rem: Tuple[int, ...], te_rem: int, ak_rem: int,
+            a_rem: int, bm_rem: int, ibm_rem: int, ns_rem: int, acc: list,
         ):
             if t_rem == zero_t:
                 if not bm_rem and ns_rem == 0:
@@ -748,59 +766,24 @@ class Evaluator:
                 return
             # te_rem >= 1, ak_rem >= 1, the beta balance ibm_rem <= te_rem - 1
             # and a feasible t_rem hold already: the root is admitted by
-            # _split_terms, every descent is checked below.
-            if cubic:
-                t0, t1, t2 = t_rem
-            else:
-                t0, t1, t2, t3, t4, t5, t6 = t_rem
-                s1, s2 = t1 - 1, t2 - 1
+            # _split_terms, every descent is checked by _fitting.
+            fit = fits.get(t_rem)
+            if fit is None:
+                fit = fits[t_rem] = fitting(route, blocks, t_rem, te_rem, ak_rem)
+            # the block indices, then their remainders
+            n_fit = len(fit) >> 1
             # x <= a_rem iff (a_guard - x) & guard == guard, for packed x
             a_guard, bm_guard = a_rem | guard, bm_rem | guard
-            for bi in range(b0, n_blocks):
+            for i in range(bisect_left(fit, b0, 0, n_fit), n_fit):
+                bi = fit[i]
                 blk = blocks[bi]
-                new_ak = ak_rem - blk.antik
-                if new_ak < 0:
-                    break  # blocks ascend in anticanonical degree
-                new_te = te_rem - blk.e_deg
-                if new_te < 0:
-                    continue
-                # A nonzero remainder needs both degrees >= 1, so at a zero
-                # degree only the block that is the whole remainder goes on,
-                # and it must use up beta.  Otherwise the block fits when
-                # t_rem - c is feasible (picard.feasible): the fit is tested on
-                # the coordinates before the remainder is built, and on rank
-                # 7 the conic cut on the remainder after.  A pick then keeps
-                # the beta balance of the nonzero remainder, ibm_d >= ibm_lo.
                 c = blk.coords
-                if new_te == 0 or new_ak == 0:
-                    if c != t_rem:
-                        continue
-                    new_t = zero_t
-                    ibm_lo = ibm_rem
-                elif cubic:
-                    if c[0] > t0 or c[1] > t1 or c[2] > t2:
-                        continue
-                    new_t = (t0 - c[0], t1 - c[1], t2 - c[2])
-                    ibm_lo = ibm_rem - new_te + 1
-                else:
-                    if (
-                        c[0] > t0 or c[1] < s1 or c[2] < s2 or c[3] < t3
-                        or c[4] < t4 or c[5] < t5 or c[6] < t6
-                    ):
-                        continue
-                    new_t = (
-                        t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
-                        t4 - c[4], t5 - c[5], t6 - c[6],
-                    )
-                    # the conic half of picard.feasible, inlined
-                    u = sorted(new_t[1:])
-                    d_new = new_t[0]
-                    if (
-                        u[0] + (d_new if d_new < new_ak else new_ak) < 0
-                        or new_ak - d_new < u[4] + u[5]
-                    ):
-                        continue
-                    ibm_lo = ibm_rem - new_te + 1
+                if c[1] < floor1 or c[2] < floor2:
+                    continue  # fits the remainder, not t: in no collection
+                # A pick keeps the beta balance of a nonzero remainder,
+                # ibm_d >= ibm_lo; the zero remainder must use up beta.
+                new_te = te_rem - blk.e_deg
+                ibm_lo = ibm_rem - new_te + 1 if new_te else ibm_rem
                 # The value is read before the branch is tested, so a state
                 # is evaluated whenever its option fits n and alpha.
                 for pick in blk.picks[p0 if bi == b0 else 0:]:
@@ -823,14 +806,14 @@ class Evaluator:
                         continue
                     acc.append(pick)
                     dfs(
-                        bi, p_next, new_t, new_te, new_ak, a_rem - p_a,
-                        bm_rem - p_bm, ibm_rem - ibm_d, ns_rem - opt.n_i, acc,
+                        bi, p_next, fit[n_fit + i], new_te, ak_rem - blk.antik,
+                        a_rem - p_a, bm_rem - p_bm, ibm_rem - ibm_d,
+                        ns_rem - opt.n_i, acc,
                     )
                     acc.pop()
 
         dfs(0, 0, t_root, te0, ak0, a_budget, bm_target, ibm0, ns_target, [])
         found = tuple(complete)
-        t_root = route.targets.setdefault(t_root, t_root)
         route.searches[(t_root, a_budget, bm_target, ns_target)] = found
         return found
 
@@ -877,10 +860,10 @@ class Evaluator:
 
     def _table(
         self, route: _Route, budget: int, target: Optional[Tuple[int, ...]]
-    ) -> Tuple[_Block, ...]:
-        """The route's factor table, made to cover the candidates of -K
-        degree <= `budget` that a key with c = 0 target `target` can use
-        (None: every candidate, the whole cone).
+    ) -> Tuple[Tuple[_Block, ...], Dict[tuple, tuple]]:
+        """The route's factor table and its fit memo, made to cover the
+        candidates of -K degree <= `budget` that a key with c = 0 target
+        `target` can use (None: every candidate, the whole cone).
 
         A block b enters a complete collection of the key (D, alpha, beta)
         only if t - b is feasible (picard.feasible), t = D - E.  The
@@ -905,17 +888,18 @@ class Evaluator:
         (1, -1, -1, 0, ...) (rank 3: E >= 0); first-sum children keep D.  A request not
         covered switches the table to the whole cone at the larger budget;
         the blocks already built are reused, not stamped again, and the
-        table is replaced whole.  Blocks ascend in (-K degree, coords), so
-        the search can stop at the first block over its budget.
+        table is replaced whole, with a new, empty fit memo (see _fitting).
+        Blocks ascend in (-K degree, coords), so a fit stops at the first
+        block over its remainder's degree.
         """
-        built, built_target, blocks = route.table
+        built, built_target, blocks, fits = route.table
         if budget <= built:
             if built_target is None:
-                return blocks
+                return blocks, fits
             if target is not None and feasible(self.spec.lattice, tuple(
                 map(operator.sub, built_target, target)), slack=0
             ):
-                return blocks
+                return blocks, fits
         if built:
             budget, target = max(budget, built), None
         spec = self.spec
@@ -941,9 +925,9 @@ class Evaluator:
                 )
             new.append(blk)
         new.sort(key=lambda b: (b.antik, b.coords))
-        blocks = tuple(new)
-        route.table = (budget, target, blocks)
-        return blocks
+        blocks, fits = tuple(new), {}
+        route.table = (budget, target, blocks, fits)
+        return blocks, fits
 
     def _picks(
         self, cls: DivisorClass, e_deg: int, antik: int, rigid_lines_only: bool
@@ -973,38 +957,61 @@ class Evaluator:
             )
         return tuple(picks)
 
-    def _local_blocks(
-        self, route: _Route, budget: int, tc: Tuple[int, ...]
-    ) -> Tuple[_Block, ...]:
-        """The table's blocks of -K degree <= budget that fit the c = 0
-        target t = D - E of one evaluation on the coordinates: b_0 <= t_0,
-        b_i >= t_i - 1 for i = 1, 2 and b_i >= t_i for i >= 3 on rank 7,
-        b_i <= t_i on rank 3, the coordinate half of feasible(t - b).
-
-        The table holds the candidates of this target or of one covering it
-        (see _table), so every block of a complete collection is among
-        them.  The conic half of the test is left to the search, which
-        meets it at the root and after each descent: tested here per state,
-        it costs more than it saves.
-        """
+    def _fitting(
+        self, route: _Route, blocks: Tuple[_Block, ...], t: Tuple[int, ...],
+        te: int, ak: int,
+    ) -> tuple:
+        """The fit memo's entry for the nonzero search remainder t, E.t = te
+        and -K.t = ak: one tuple of the indices, ascending, of the blocks b
+        with -K.b <= ak, E.b <= te and t - b zero where either of its
+        degrees is zero, feasible (picard.feasible) otherwise, followed by
+        their remainders t - b, interned through the route's targets."""
+        zero_t = self._zero_coords
+        intern = route.targets.setdefault
         cubic = self._cubic
-        kept = []
-        for b in self._table(route, budget, tc):
-            if b.antik > budget:
+        if cubic:
+            t0, t1, t2 = t
+        else:
+            t0, t1, t2, t3, t4, t5, t6 = t
+            s1, s2 = t1 - 1, t2 - 1
+        index, kids = [], []
+        for bi, blk in enumerate(blocks):
+            new_ak = ak - blk.antik
+            if new_ak < 0:
                 break
-            bc = b.coords
-            if bc[0] > tc[0]:
+            new_te = te - blk.e_deg
+            if new_te < 0:
                 continue
-            if cubic:
-                if bc[1] <= tc[1] and bc[2] <= tc[2]:
-                    kept.append(b)
-                continue
-            if bc[1] < tc[1] - 1 or bc[2] < tc[2] - 1:
-                continue
-            if bc[3] < tc[3] or bc[4] < tc[4] or bc[5] < tc[5] or bc[6] < tc[6]:
-                continue
-            kept.append(b)
-        return tuple(kept)
+            c = blk.coords
+            if new_te == 0 or new_ak == 0:
+                if c != t:
+                    continue
+                new_t = zero_t
+            elif cubic:
+                if c[0] > t0 or c[1] > t1 or c[2] > t2:
+                    continue
+                new_t = (t0 - c[0], t1 - c[1], t2 - c[2])
+            else:
+                if (
+                    c[0] > t0 or c[1] < s1 or c[2] < s2 or c[3] < t3
+                    or c[4] < t4 or c[5] < t5 or c[6] < t6
+                ):
+                    continue
+                new_t = (
+                    t0 - c[0], t1 - c[1], t2 - c[2], t3 - c[3],
+                    t4 - c[4], t5 - c[5], t6 - c[6],
+                )
+                # the conic half of picard.feasible, inlined
+                u = sorted(new_t[1:])
+                d_new = new_t[0]
+                if (
+                    u[0] + (d_new if d_new < new_ak else new_ak) < 0
+                    or new_ak - d_new < u[4] + u[5]
+                ):
+                    continue
+            index.append(bi)
+            kids.append(intern(new_t, new_t))
+        return tuple(index + kids)
 
 
 def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:

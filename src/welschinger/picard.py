@@ -102,14 +102,6 @@ class Lattice:
             ac[0] * bc[0] + ac[1] * bc[1] + ac[2] * bc[2]
         )
 
-    def intersect_gram(self, a: DivisorClass, b: DivisorClass) -> int:
-        """Reference pairing through the stored Gram matrix (for checks)."""
-        return sum(
-            a.coords[i] * self.gram[i][j] * b.coords[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
 
 def _p2_lines() -> Tuple[DivisorClass, ...]:
     lines = []

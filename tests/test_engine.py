@@ -249,19 +249,19 @@ class _ShuffledEvaluator(Evaluator):
         self._seed = seed
 
     def _table(self, route, budget, target):
-        blocks = list(super()._table(route, budget, target))
+        blocks = list(super()._table(route, budget, target)[0])
         random.Random(self._seed).shuffle(blocks)
         blocks.sort(key=lambda b: b.antik)  # stable: shuffled within a degree
-        return tuple(blocks)
+        return tuple(blocks), {}  # a fit memo of its own for the new order
 
 
 def test_shuffled_table_moves_blocks_only_within_a_degree():
     spec = make_surface("P2", 2, 2)
     # the whole cone, and the candidates of -2K's c = 0 target
     for target in (None, _target(spec, "-2K")):
-        plain = Evaluator(spec)._table(Evaluator(spec)._full, 6, target)
+        plain = Evaluator(spec)._table(Evaluator(spec)._full, 6, target)[0]
         shuffled = _ShuffledEvaluator(spec, 1)
-        scrambled = shuffled._table(shuffled._full, 6, target)
+        scrambled = shuffled._table(shuffled._full, 6, target)[0]
         assert scrambled != plain
         assert [b.antik for b in scrambled] == [b.antik for b in plain]
         for deg in {b.antik for b in plain}:
@@ -447,7 +447,7 @@ class _LinearScanEvaluator(Evaluator):
         blocks = ()
         if budget >= 1:
             blocks = tuple(
-                b for b in self._table(route, budget, None) if b.antik <= budget
+                b for b in self._table(route, budget, None)[0] if b.antik <= budget
             )
         for alpha0 in enumerate_le(alpha):
             for beta0 in enumerate_le(beta):
@@ -667,6 +667,129 @@ def test_root_cut_is_the_fit_and_the_27_conics(t):
     assert feasible(spec.lattice, t) == want
 
 
+def _fitting_blocks(spec, blocks, r):
+    """The (index, r - b) of the blocks b a search node with the nonzero
+    remainder r may descend into, by a plain filter of the table: -K.b <=
+    -K.r and E.b <= E.r, then r - b = 0 where either degree of r - b is 0,
+    and r - b feasible otherwise."""
+    rem = DivisorClass(r)
+    kept = []
+    for i, b in enumerate(blocks):
+        if b.antik > spec.antik_degree(rem) or b.e_deg > spec.e_degree(rem):
+            continue
+        diff = rem - DivisorClass(b.coords)
+        if spec.antik_degree(diff) == 0 or spec.e_degree(diff) == 0:
+            if any(diff.coords):
+                continue
+        elif not feasible(spec.lattice, diff.coords):
+            continue
+        kept.append((i, diff.coords))
+    return kept
+
+
+def _check_fit(spec, route, blocks, r, fit):
+    """A fit memo entry, block indices then remainders, is the plain
+    filter of its table, its remainders interned through the route."""
+    half = len(fit) // 2
+    assert list(zip(fit[:half], fit[half:])) == _fitting_blocks(spec, blocks, r), r
+    assert all(route.targets[k] is k for k in fit[half:])
+
+
+def _check_fit_memo(spec, route):
+    """Every entry of the route's fit memo matches the table it is stored
+    with."""
+    _, _, blocks, fits = route.table
+    for r, fit in fits.items():
+        _check_fit(spec, route, blocks, r, fit)
+
+
+# surface -> the -K degree bound of its whole-cone tables and drawn classes
+_FIT_SURFACES = {("P2", 6, 0, "0"): 6, ("P2", 4, 1, "0"): 7, ("B1", 0, 0, "F"): 10}
+_fit_evaluators = {}
+
+
+def _fit_evaluator(surface):
+    """An evaluator of one surface with whole-cone tables on both routes,
+    and the nef-big classes its tables cover, built once."""
+    if surface not in _fit_evaluators:
+        model, a, b, twist = surface
+        spec = make_surface(model, a, b, twist=twist)
+        bound = _FIT_SURFACES[surface]
+        ev = Evaluator(spec)
+        for route in (ev._full, ev._reduced):
+            ev._table(route, bound, None)
+        _fit_evaluators[surface] = (ev, sorted(spec.nef_big_classes(bound + 1)))
+    return _fit_evaluators[surface]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fit_memo_matches_plain_filter(data):
+    # A remainder is an admitted nonzero target T = D - E + c (K + E) - P of
+    # a drawn class, less a few blocks that fit along the way; the memo's
+    # list for it must be the plain filter of the whole table.
+    surface = data.draw(st.sampled_from(sorted(_FIT_SURFACES)))
+    ev, classes = _fit_evaluator(surface)
+    spec = ev.spec
+    route = ev._full
+    if spec.lattice.model == "cubic" and data.draw(st.booleans()):
+        route = ev._reduced
+    blocks = route.table[2]
+    d = data.draw(st.sampled_from(classes))
+    c = data.draw(st.integers(0, (spec.e_degree(d) + 1) // 2))
+    p_coords = data.draw(st.sampled_from(route.pair_subsets))[1]
+    r = d - spec.e_class + spec.k_plus_e() * c - DivisorClass(p_coords)
+    assume(spec.e_degree(r) >= 1 and spec.antik_degree(r) >= 1)
+    assume(feasible(spec.lattice, r.coords))
+    r = r.coords
+    for _ in range(data.draw(st.integers(0, 3))):
+        kids = [k for _, k in _fitting_blocks(spec, blocks, r) if any(k)]
+        if not kids:
+            break
+        r = data.draw(st.sampled_from(kids))
+    rem = DivisorClass(r)
+    fit = ev._fitting(route, blocks, r, spec.e_degree(rem), spec.antik_degree(rem))
+    _check_fit(spec, route, blocks, r, fit)
+
+
+def test_fit_memo_belongs_to_its_table():
+    # Each table, target or whole cone, has a fit memo of its own: after
+    # every key, and so across the switch from -2K's target table to the
+    # whole cone, each entry is the plain filter of the blocks it is stored
+    # with.
+    spec = make_surface("P2", 4, 1)
+    ev = Evaluator(spec)
+    memos = []
+    for text in ("-2K", "3;0,0,3,0,0,0", "-K"):
+        welschinger(spec, spec.parse_class(text), ev)
+        _check_fit_memo(spec, ev._full)
+        memos.append(ev._full.table[3])
+    assert memos[0] and memos[1] is not memos[0] and memos[2] is memos[1]
+    spec_f = make_surface("B1", twist="F")
+    ev_f = Evaluator(spec_f)
+    for text in ("-2K", "-3K"):
+        key = key_of(spec_f, text)
+        ev_f.eval(key)
+        ev_f.eval_cubic_fast(key)
+        for route in (ev_f._full, ev_f._reduced):
+            assert route.table[3]
+            _check_fit_memo(spec_f, route)
+
+
+def test_warm_search_reads_no_block_under_the_state_floors():
+    # On the whole-cone table a node's remainder can fit a block that misses
+    # the asking state's D - E on slot 1 or 2: after E_1 is picked, the
+    # remainder's slack on slot 1 adds to it.  No collection holds such a
+    # block, and the search reads no value for it: -K, -2K and -3K on one
+    # evaluator evaluate 212 states, not the 221 such reads would add.
+    spec = make_surface("P2", 2, 2)
+    ev = Evaluator(spec)
+    got = [welschinger(spec, spec.parse_class(t), ev) for t in ("-K", "-2K", "-3K")]
+    assert got == [4, 236, 154688]
+    assert ev._full.table[1] is None
+    assert len(ev._full.memo) == 212 and len(ev._full.searches) == 367
+
+
 def _counted_candidates(monkeypatch):
     """Record the (budget, target) of every candidate_factors call the
     engine makes."""
@@ -733,29 +856,29 @@ def test_grown_table_equals_direct_table():
         for route in ("_full", "_reduced"):
             # whole-cone tables grow by their new degrees
             grown = Evaluator(spec)
-            small = grown._table(getattr(grown, route), 3, None)
+            small = grown._table(getattr(grown, route), 3, None)[0]
             assert small and max(b.antik for b in small) <= 3
-            big = grown._table(getattr(grown, route), 6, None)
+            big = grown._table(getattr(grown, route), 6, None)[0]
             assert big[: len(small)] == small  # growing only appends
-            assert getattr(grown, route).table == (6, None, big)
+            assert getattr(grown, route).table[:3] == (6, None, big)
             direct = Evaluator(spec)
-            want = direct._table(getattr(direct, route), 6, None)
+            want = direct._table(getattr(direct, route), 6, None)[0]
             assert _table_rows(big) == _table_rows(want)
             # a smaller budget or any target reads the whole cone, unchanged
-            assert grown._table(getattr(grown, route), 2, None) is big
-            assert grown._table(getattr(grown, route), 4, target) is big
+            assert grown._table(getattr(grown, route), 2, None)[0] is big
+            assert grown._table(getattr(grown, route), 4, target)[0] is big
             # a first table holds its target's candidates; a target it does
             # not cover switches to the whole cone, reusing the blocks built
             targeted_ev = Evaluator(spec)
-            targeted = targeted_ev._table(getattr(targeted_ev, route), 3, target)
-            assert getattr(targeted_ev, route).table == (3, target, targeted)
+            targeted = targeted_ev._table(getattr(targeted_ev, route), 3, target)[0]
+            assert getattr(targeted_ev, route).table[:3] == (3, target, targeted)
             assert 0 < len(targeted) < len(small)
             assert _table_rows(targeted) == _table_rows(
                 [b for b in small if _fits(spec, b.coords, target)]
             )
-            assert targeted_ev._table(getattr(targeted_ev, route), 2, inside) is targeted
-            whole = targeted_ev._table(getattr(targeted_ev, route), 2, outside)
-            assert getattr(targeted_ev, route).table == (3, None, whole)
+            assert targeted_ev._table(getattr(targeted_ev, route), 2, inside)[0] is targeted
+            whole = targeted_ev._table(getattr(targeted_ev, route), 2, outside)[0]
+            assert getattr(targeted_ev, route).table[:3] == (3, None, whole)
             assert _table_rows(whole) == _table_rows(small)
             assert all(any(b is w for w in whole) for b in targeted)
 
@@ -769,7 +892,7 @@ def test_cold_table_holds_the_top_key_box(monkeypatch):
     assert len(calls) == 1
     t = _target(spec, "-3K")
     direct = Evaluator(spec)
-    whole = direct._table(direct._full, 8, None)
+    whole = direct._table(direct._full, 8, None)[0]
     want = [b for b in whole if _fits(spec, b.coords, t)]
     assert ev._full.table[:2] == (8, t)
     assert _table_rows(ev._full.table[2]) == _table_rows(want)
@@ -790,10 +913,10 @@ def test_warm_table_leaving_the_box_switches_to_whole_cone(monkeypatch):
             first = ev._full.table[2]
             assert ev._full.table[:2] == (5, _target(spec, "-2K"))
     assert [target is None for _, target in calls] == [False, True]
-    budget, target, blocks = ev._full.table
+    budget, target, blocks, _ = ev._full.table
     assert (budget, target) == (5, None)
     direct = Evaluator(spec)
-    assert _table_rows(blocks) == _table_rows(direct._table(direct._full, 5, None))
+    assert _table_rows(blocks) == _table_rows(direct._table(direct._full, 5, None)[0])
     assert all(any(b is w for w in blocks) for b in first)
     fresh = [welschinger(spec, spec.parse_class(text), Evaluator(spec)) for text in texts]
     assert got == fresh
@@ -884,7 +1007,7 @@ def test_target_tables_match_whole_cone_tables(name, canonicalize):
             got = fresh._value(getattr(fresh, route), key.d, key.alpha, key.beta)
             want = whole._value(getattr(whole, route), key.d, key.alpha, key.beta)
             assert got == want, (key, route)
-            budget, target, _ = getattr(fresh, route).table
+            budget, target, _, _ = getattr(fresh, route).table
             if budget:
                 assert (budget, target) == (
                     spec.antik_degree(key.d) - 1, (key.d - spec.e_class).coords
