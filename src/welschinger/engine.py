@@ -116,6 +116,22 @@ rank 7 a block must also fit the asking state's D - E on slots 1 and 2
 (see _collections).  A pick whose remainder would fail the beta balance
 I(beta_rem) <= E.t_rem - 1 is skipped before the search descends into it.
 
+A block's picks are tested the same way: whether a pick fits the node's n
+budget and alpha budget, and whether its factor's value is nonzero,
+depends on the block and those two budgets only.  So each block keeps a
+live-pick memo (_live_picks): per (n budget, alpha budget packed) the
+picks that pass, in pick order, and a node walks its entry from the
+node's pick index on (bisect), testing only the beta fit.  The n budget
+is clamped to the block's largest n_i, and a node whose n budget is
+below the block's least n_i skips the block, so budgets that admit the
+same picks share an entry.  A one-pick block is tested inline: its entry
+could only be its pick or nothing.  Building an entry reads only values
+the search reads anyway, in another order (the proof is at _collections).
+Blocks are kept as the same objects across table switches and growth, so
+their entries are too; each route builds its own blocks and so its own
+entries.  An entry is a tuple, blk.picks itself when every pick is live,
+else the live picks' indices followed by the picks.
+
 The search holds its remaining alpha budget and beta target packed
 (tangency.pack): one integer per vector, an 8-bit field per odd order
 with a guard bit, so that a pick's fit is one subtraction and mask and
@@ -291,6 +307,12 @@ class _Block:
     # (option, its template's gamma row, index where a collection holding
     # the pick continues), in (option, gamma) order; see Evaluator._picks
     picks: Tuple[Tuple[_Option, tuple, int], ...]
+    n_min: int  # the least and the largest n_i of the picks
+    n_max: int
+    # live-pick memo: a * (n_max + 1) + n for the n budget n clamped to
+    # n_max and the packed alpha budget a -> Evaluator._live_picks(n, a);
+    # see Evaluator._collections
+    live: Dict[int, tuple] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -387,11 +409,13 @@ def _multinomial_exact(total: int, parts: List[int], context: str) -> int:
 class Evaluator:
     """Shared-store evaluator bound to one surface specification.
 
-    Thread-safety: every memo (values, searches, the tables' fit memos)
-    changes only by idempotent dictionary inserts under canonical
-    value-determining keys, so concurrent use converges to identical
-    contents: two threads that make the same search at once store equal
-    tuples of the same pick objects (see _split_terms).  A route's factor
+    Thread-safety: every memo (values, searches, the tables' fit memos,
+    the blocks' live-pick memos) changes only by idempotent dictionary
+    inserts under canonical value-determining keys, so concurrent use
+    converges to identical contents: two threads that make the same search
+    at once store equal tuples of the same pick objects (see
+    _split_terms), and two that build one block's live entry store equal
+    tuples of that block's own pick objects.  A route's factor
     table is never mutated in place: a switch to the whole cone or a
     growth replaces the route's (budget, target, blocks, fit memo), the
     memo new and empty, in one assignment, so a reader holds the old table
@@ -431,6 +455,7 @@ class Evaluator:
         # The reduced route of the twisted cubic; subsets[0] is the empty one.
         self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
+        self._indices: Tuple[int, ...] = ()  # shared by the fit memos, see _fitting
         self._cubic = spec.lattice.model == "cubic"
         # The split sum's targets D - E + c (K + E), on coordinates; their -K
         # degree moves by _ke_antik per unit of c.
@@ -742,6 +767,31 @@ class Evaluator:
         them, after an E_1 or E_2 or with the pair E_1 + E_2, though no
         complete collection holds it (_split_terms): the search skips it and
         reads no value for it.
+
+        At a block it reads the value of every pick from the node's pick
+        index on that fits the node's n and alpha budgets, before testing
+        the beta fit, and descends into the picks whose value is nonzero
+        and whose beta fits.  The live-pick memo (_live_picks) keeps the
+        picks of the block that pass the first three tests, under the
+        node's n budget and alpha budget, and an entry is built from the
+        block's first pick on; the search walks it from the node's pick
+        index p0 on.  Such a build reads no value the search without the
+        memo does not read:
+        * a pick at or after p0 that fits the budgets is read there anyway;
+        * a pick before p0 occurs only when the node is in the block its
+          parent descended from (bi == b0).  Follow the chain of ancestors
+          that descended from this block up to the first one, whose node
+          came from an earlier block or is the root: that node walked the
+          block from its first pick, with budgets at least as large, since
+          a descent only takes n_i >= 0 and alpha_i >= 0 off them.  So it
+          read the value of every pick that fits the later node's budgets,
+          in the same search.
+        An entry built in one search and read in another holds values read
+        in the first.  A read under the live-pick memo is therefore a read
+        of the same state the search without it makes, at another time: the
+        set of states evaluated is the same, and only the order of the
+        reads, and with it the order of insertion into the value memo,
+        changes.  The store is written sorted, so its bytes do not.
         """
         found = route.searches.get((t_root, a_budget, bm_target, ns_target))
         if found is not None:
@@ -753,6 +803,7 @@ class Evaluator:
         memo = route.memo
         value_of = self._value
         fitting = self._fitting
+        live_picks = self._live_picks
         guard = GUARD
         complete = []
 
@@ -780,16 +831,18 @@ class Evaluator:
                 c = blk.coords
                 if c[1] < floor1 or c[2] < floor2:
                     continue  # fits the remainder, not t: in no collection
-                # A pick keeps the beta balance of a nonzero remainder,
-                # ibm_d >= ibm_lo; the zero remainder must use up beta.
-                new_te = te_rem - blk.e_deg
-                ibm_lo = ibm_rem - new_te + 1 if new_te else ibm_rem
-                # The value is read before the branch is tested, so a state
+                if ns_rem < blk.n_min:
+                    continue  # no pick fits n
+                # The live picks: those that fit n and alpha and have a
+                # nonzero value, from the restart index p0 in the block b0.
+                # A value is read before the branch is tested, so a state
                 # is evaluated whenever its option fits n and alpha.
-                for pick in blk.picks[p0 if bi == b0 else 0:]:
-                    opt, row, p_next = pick
-                    if opt.n_i > ns_rem:
+                picks = blk.picks
+                if len(picks) == 1:
+                    # tested inline: its entry would be the pick or nothing
+                    if bi == b0 and p0:
                         continue
+                    opt = picks[0][0]
                     p_a = opt.palpha
                     if p_a and (a_guard - p_a) & guard != guard:
                         continue
@@ -798,6 +851,26 @@ class Evaluator:
                         value = value_of(route, opt.cls, opt.alpha, opt.beta)
                     if value == 0:
                         continue
+                    live = picks
+                else:
+                    n_max = blk.n_max
+                    n = ns_rem if ns_rem < n_max else n_max
+                    key = a_rem * (n_max + 1) + n  # (n, a_rem), one int
+                    live = blk.live.get(key)
+                    if live is None:
+                        live = blk.live[key] = live_picks(route, blk, n, a_rem)
+                    if live is not picks:  # the pick indices, then the picks
+                        n_live = len(live) >> 1
+                        start = bisect_left(live, p0, 0, n_live) if bi == b0 else 0
+                        live = live[n_live + start:]
+                    elif bi == b0 and p0:
+                        live = picks[p0:]
+                # A pick keeps the beta balance of a nonzero remainder,
+                # ibm_d >= ibm_lo; the zero remainder must use up beta.
+                new_te = te_rem - blk.e_deg
+                ibm_lo = ibm_rem - new_te + 1 if new_te else ibm_rem
+                for pick in live:
+                    opt, row, p_next = pick
                     _, p_bm, ibm_d, _ = row
                     if (
                         ibm_d > ibm_rem or ibm_d < ibm_lo
@@ -807,7 +880,7 @@ class Evaluator:
                     acc.append(pick)
                     dfs(
                         bi, p_next, fit[n_fit + i], new_te, ak_rem - blk.antik,
-                        a_rem - p_a, bm_rem - p_bm, ibm_rem - ibm_d,
+                        a_rem - opt.palpha, bm_rem - p_bm, ibm_rem - ibm_d,
                         ns_rem - opt.n_i, acc,
                     )
                     acc.pop()
@@ -919,10 +992,9 @@ class Evaluator:
                 if cls == mke:
                     continue
                 e_deg, antik = spec.e_degree(cls), spec.antik_degree(cls)
-                blk = _Block(
-                    cls.coords, e_deg, antik,
-                    self._picks(cls, e_deg, antik, route.rigid_lines_only),
-                )
+                picks = self._picks(cls, e_deg, antik, route.rigid_lines_only)
+                n_is = [opt.n_i for opt, _, _ in picks]
+                blk = _Block(cls.coords, e_deg, antik, picks, min(n_is), max(n_is))
             new.append(blk)
         new.sort(key=lambda b: (b.antik, b.coords))
         blocks, fits = tuple(new), {}
@@ -968,6 +1040,11 @@ class Evaluator:
         their remainders t - b, interned through the route's targets."""
         zero_t = self._zero_coords
         intern = route.targets.setdefault
+        # one int object per table index, for every entry: enumerate makes
+        # a new one past 256 each time
+        indices = self._indices
+        if len(indices) < len(blocks):
+            indices = self._indices = tuple(range(len(blocks)))
         cubic = self._cubic
         if cubic:
             t0, t1, t2 = t
@@ -975,7 +1052,7 @@ class Evaluator:
             t0, t1, t2, t3, t4, t5, t6 = t
             s1, s2 = t1 - 1, t2 - 1
         index, kids = [], []
-        for bi, blk in enumerate(blocks):
+        for bi, blk in zip(indices, blocks):
             new_ak = ak - blk.antik
             if new_ak < 0:
                 break
@@ -1012,6 +1089,34 @@ class Evaluator:
             index.append(bi)
             kids.append(intern(new_t, new_t))
         return tuple(index + kids)
+
+    def _live_picks(self, route: _Route, blk: _Block, n: int, a: int) -> tuple:
+        """The live-pick memo's entry for the block blk under the n budget n
+        <= blk.n_max and the packed alpha budget a: the picks with n_i <= n,
+        alpha_i <= a and a nonzero value, in pick order.  It is blk.picks
+        itself when every pick is live, else one flat tuple of the live
+        picks' indices, ascending, followed by the picks.  Each value is
+        read as the search reads it, from the memo or by evaluating the
+        factor's state."""
+        a_guard = a | GUARD
+        memo = route.memo
+        index, live = [], []
+        for pi, pick in enumerate(blk.picks):
+            opt = pick[0]
+            if opt.n_i > n:
+                continue
+            p_a = opt.palpha
+            if p_a and (a_guard - p_a) & GUARD != GUARD:
+                continue
+            value = memo.get(opt.memo_key)
+            if value is None:
+                value = self._value(route, opt.cls, opt.alpha, opt.beta)
+            if value:
+                index.append(pi)
+                live.append(pick)
+        if len(live) == len(blk.picks):
+            return blk.picks
+        return tuple(index + live)
 
 
 def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:

@@ -22,6 +22,7 @@ d*L - sum m_i E_i is the tuple (d, -m1, ..., -m6); a rank-3 class is
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -408,6 +409,25 @@ def _index_orbits(conj_perm: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(orbits)
 
 
+@functools.lru_cache(maxsize=None)
+def _candidate_lines(
+    lat: Lattice,
+    conj_perm: Tuple[int, ...],
+    e_class: DivisorClass,
+    blocked: Tuple[DivisorClass, ...],
+) -> Tuple[DivisorClass, ...]:
+    """The lines that can be factor candidates whatever the target: the
+    real ones that meet E positively and cross no blocked class, in the
+    lattice's line order.  They depend on the surface only, so each
+    surface filters its lines once per process."""
+    return tuple(
+        line for line in lat.lines
+        if conj_class(conj_perm, line) == line
+        and lat.intersect(line, e_class) >= 1
+        and not any(lat.intersect(line, b) != 0 for b in blocked)
+    )
+
+
 def candidate_factors(
     lat: Lattice,
     conj_perm: Tuple[int, ...],
@@ -434,19 +454,11 @@ def candidate_factors(
     """
     if antik_budget < 1:
         raise ValueError("anticanonical budget must be >= 1")
-    out = []
-    for line in lat.lines:
-        if conj_class(conj_perm, line) != line:
-            continue
-        if lat.intersect(line, e_class) < 1:
-            continue
-        if any(lat.intersect(line, b) != 0 for b in blocked):
-            continue
-        if target is not None and not feasible(
-            lat, tuple(map(operator.sub, target, line.coords))
-        ):
-            continue
-        out.append(line)
+    out = [
+        line for line in _candidate_lines(lat, conj_perm, e_class, blocked)
+        if target is None
+        or feasible(lat, tuple(map(operator.sub, target, line.coords)))
+    ]
     zero_slots, crossing = (), blocked  # crossing: the blocked classes filtered here
     if lat.model == "p2":
         exceptional = lat.lines[:6]  # E_j, whose slot j holds m_j

@@ -652,6 +652,26 @@ def test_warm_evaluator_matches_oracle_on_every_cubic_key():
         assert warm.eval_cubic_fast(key) == oracle.eval_cubic_fast(key), key
 
 
+def test_engine_evaluates_the_oracles_states_on_the_cubic():
+    # The search reads a factor's value before it tests the branch, so it
+    # evaluates a state whenever the state's option fits the n and alpha
+    # budgets; the live-pick memo reads those values in another order.  The
+    # oracle reads each value where it tests the option, and on the cubic
+    # both read exactly the same states.  (Rank 7 is left out: there the
+    # oracle searches the whole cone without the conic cut, so it reads
+    # more.)
+    spec = make_surface("B1", twist="F")
+    for text, states in (("-3K", 111), ("-4K", 364)):
+        key = key_of(spec, text)
+        fast, oracle = Evaluator(spec), _LinearScanEvaluator(spec)
+        for ev in (fast, oracle):
+            assert ev.eval(key) == ev.eval_cubic_fast(key)
+        for route in ("_full", "_reduced"):
+            got = set(getattr(fast, route).memo)
+            assert got == set(getattr(oracle, route).memo), (text, route)
+            assert len(got) == states
+
+
 _CONICS = [-P2_LATTICE.canonical - line for line in P2_LATTICE.lines]
 
 
@@ -774,6 +794,59 @@ def test_fit_memo_belongs_to_its_table():
         for route in (ev_f._full, ev_f._reduced):
             assert route.table[3]
             _check_fit_memo(spec_f, route)
+
+
+def _live_indices(blk, n, a, memo):
+    """The indices of the picks of blk a search node with n budget n and
+    packed alpha budget a may take, by a plain filter of the block: n_i <=
+    n, alpha_i <= the budget order by order (_pack's layout), and a nonzero
+    value, which the memo must hold."""
+    return [
+        i for i, (opt, _, _) in enumerate(blk.picks)
+        if opt.n_i <= n
+        and all(c <= a >> 8 * (k // 2) & 0xFF for k, c in opt.alpha)
+        and memo[opt.memo_key]
+    ]
+
+
+def _check_live_memo(route):
+    """Every live-pick entry of every block of the route's table matches
+    the plain filter, and the number of entries checked."""
+    checked = 0
+    for blk in route.table[2]:
+        if len(blk.picks) == 1:
+            assert not blk.live  # a one-pick block is tested inline
+        for key, entry in blk.live.items():
+            a, n = divmod(key, blk.n_max + 1)  # n is clamped to n_max
+            assert n >= blk.n_min
+            want = _live_indices(blk, n, a, route.memo)
+            if entry is blk.picks:
+                assert want == list(range(len(blk.picks))), (blk.coords, n, a)
+            else:
+                half = len(entry) // 2
+                assert list(entry[:half]) == want, (blk.coords, n, a)
+                assert len(want) < len(blk.picks)  # else blk.picks itself
+                assert all(blk.picks[i] is p for i, p in zip(want, entry[half:]))
+            checked += 1
+    return checked
+
+
+def test_live_memo_matches_plain_filter():
+    # Each block's live entries, built along the searches of a few warm
+    # keys, against a plain filter of the block's picks under the memo the
+    # entries were built from.
+    for model, a, b, twist in sorted(_FIT_SURFACES):
+        spec = make_surface(model, a, b, twist=twist)
+        ev = Evaluator(spec)
+        texts = ("-K", "-2K", "-3K") if model == "B1" else ("-K", "-2K")
+        for text in texts:
+            key = key_of(spec, text)
+            ev.eval(key)
+            if model == "B1":
+                ev.eval_cubic_fast(key)
+        assert _check_live_memo(ev._full) > 0
+        if model == "B1":
+            assert _check_live_memo(ev._reduced) > 0
 
 
 def test_warm_search_reads_no_block_under_the_state_floors():
