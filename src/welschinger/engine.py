@@ -31,8 +31,10 @@ leave no remainder.
 
 One generator, Evaluator._summands, is the only encoding of a recursion
 step: it yields each summand as a plain tuple with its integer
-contribution.  eval sums the contributions; only expand, which the trace
-prints, turns the same summands into TermRecord/FactorRecord objects.
+contribution.  eval sums the contributions, with the split sum folded
+into one summand per search a state makes (its weight S, see
+_split_terms); only expand, which the trace prints, asks for a summand per
+factor collection and turns those into TermRecord/FactorRecord objects.
 
 Values are memoized per relabelling orbit, by the surface's one map,
 SurfaceSpec.orbit_map.  Its mode move_e False admits the relabellings that
@@ -142,25 +144,29 @@ choices, with |beta0|, I(beta0) and beta - beta0 packed, once for all
 alpha0.  Only the search sees the packed form: keys, summands, records
 and the store hold TangencyVector objects.
 
-Each route also keeps a search memo: the complete factor collections of a
-search, keyed by (T, alpha budget, beta target, n budget), T the
+Each route also keeps a search memo: the weight S of a search, one
+integer that sums its complete factor collections, each with the search's
+part of its coefficient, its weights and its factors' values
+(_split_terms), keyed by (T, alpha budget, beta target, n budget), T the
 coordinates of the search's target and the two tangency budgets packed.
 A state (D, alpha, beta) and its first-sum children (D, alpha + theta_k,
 beta - theta_k) repeat each other's searches: the child's alpha0 +
 theta_k and beta0 - theta_k give the parent's c = 2l + I(alpha0) +
 I(beta0), budgets and n - 1 - |beta0|.  The first search runs and every
-later one reads its result; an empty result is kept too.  A target that
+later one reads its S; a zero S is kept too.  A target that
 _split_terms does not admit is never searched and gets no entry.  The
 table the search walks stays out of the key: every table that covers a
 state reaching T holds every block of every complete collection of T, as
 the same object and in the one table order (the proof is at
 _split_terms), so a result does not depend on who asked.  The memo costs
-memory for every distinct search, not per state: a collection holds the
-blocks' own pick tuples, and a factor's value is read from the value
-memo when its term is assembled.  The search keys and the fit memos share
-one tuple per distinct target or remainder (the route's targets), and a
-fit memo holds one flat tuple per remainder, block indices then
-remainders; it goes with its table when a switch or growth replaces it.
+one integer for every distinct search, not per state: the collections are
+folded as their search ends and then dropped.  expand searches its key's
+split sum afresh, without the memo, and leaves it as it was; its records
+come from the collections, never from S, which can be zero for a search
+that has collections.  The search keys and the fit memos share one tuple
+per distinct target or remainder (the route's targets), and a fit memo
+holds one flat tuple per remainder, block indices then remainders; it
+goes with its table when a switch or growth replaces it.
 In exchange a repeated search costs one lookup instead of its nodes.
 """
 
@@ -195,10 +201,14 @@ from .tangency import (
 Store = Dict[str, int]
 
 # One summand of a recursion step, as _summands yields it: (kind, k, l,
-# alpha0, beta0, chosen factors, pair ids, coefficient, contribution).  The
-# chosen factors are the collection's picks, the blocks' own (option, gamma
-# row, restart index) tuples (see _Block), in pick order; a factor's value
-# is the route's memo entry under its option's memo key.
+# alpha0, beta0, chosen factors, pair ids, coefficient, contribution).  A
+# split summand of one factor collection (records) lists the collection's
+# picks, the blocks' own (option, gamma row, restart index) tuples (see
+# _Block), in pick order; a factor's value is the route's memo entry under
+# its option's memo key.  A folded split summand stands for every
+# collection of one search: it lists no factors, its coefficient is the
+# state's part 2^|beta0| C(n-1; ns, beta0) C(alpha; alpha0) (l + 1), and
+# its contribution carries the search's weight S (see _split_terms).
 Summand = Tuple[
     str, Optional[int], int, TangencyVector, TangencyVector, tuple,
     Tuple[str, ...], int, int,
@@ -332,9 +342,9 @@ class _Route:
     # replaced whole, see Evaluator._table
     table: tuple = field(default_factory=lambda: (0, None, (), {}))
     store: Optional[Store] = None  # read on a memo miss; full route only
-    # (target coords, alpha budget, beta target, n budget) -> the complete
-    # factor collections of that search; see Evaluator._split_terms
-    searches: Dict[tuple, tuple] = field(default_factory=dict)
+    # (target coords, alpha budget, beta target, n budget) -> the weight S
+    # of that search; see Evaluator._split_terms
+    searches: Dict[tuple, int] = field(default_factory=dict)
     # one tuple object per distinct search target or remainder, shared by
     # the search memo's keys and the fit memos
     targets: Dict[tuple, tuple] = field(default_factory=dict)
@@ -413,10 +423,9 @@ class Evaluator:
     the blocks' live-pick memos) changes only by idempotent dictionary
     inserts under canonical value-determining keys, so concurrent use
     converges to identical contents: two threads that make the same search
-    at once store equal tuples of the same pick objects (see
-    _split_terms), and two that build one block's live entry store equal
-    tuples of that block's own pick objects.  A route's factor
-    table is never mutated in place: a switch to the whole cone or a
+    at once store equal ints S (see _split_terms), and two that build one
+    block's live entry store equal tuples of that block's own pick
+    objects.  A route's factor table is never mutated in place: a switch to the whole cone or a
     growth replaces the route's (budget, target, blocks, fit memo), the
     memo new and empty, in one assignment, so a reader holds the old table
     or the new one, each complete for its budget and target.  A search
@@ -494,7 +503,7 @@ class Evaluator:
         records: List[TermRecord] = []
         split: List[TermRecord] = []
         for kind, k, l, alpha0, beta0, chosen, pair_ids, coeff, contribution in (
-            self._summands(route, key.d, key.alpha, key.beta)
+            self._summands(route, key.d, key.alpha, key.beta, records=True)
         ):
             factors = tuple(
                 FactorRecord(
@@ -598,11 +607,13 @@ class Evaluator:
         d: DivisorClass,
         alpha: TangencyVector,
         beta: TangencyVector,
+        records: bool = False,
     ) -> Iterator[Summand]:
         """One recursion step at (d, alpha, beta): its summands, whose
         contributions total the state's value.  None below dimension 0; at
         dimension 0 the one initial summand, a table lookup; above it the
-        first sum in beta order, then the split sum."""
+        first sum in beta order, then the split sum, folded per search
+        unless records asks for a summand per factor collection."""
         n = self.spec.r_dim_class(d, norm(beta))
         if n < 0:
             return
@@ -614,7 +625,7 @@ class Evaluator:
         for k, _ in beta:
             child = self._value(route, d, alpha + theta(k), beta - theta(k))
             yield ("first_sum", k, 0, zero, zero, (), (), 1, child)
-        yield from self._split_terms(route, d, alpha, beta, n)
+        yield from self._split_terms(route, d, alpha, beta, n, records)
 
     def _split_terms(
         self,
@@ -623,18 +634,46 @@ class Evaluator:
         alpha: TangencyVector,
         beta: TangencyVector,
         n: int,
+        records: bool = False,
     ) -> Iterator[Summand]:
         """The split sum at (d, alpha, beta) of dimension n, by
         (alpha0, beta0, l, pair subset).  The state admits its targets once
         per (c, pair subset), and each (alpha0, beta0, l) tests only its
-        beta balance against them.  Each search for the factor
-        collections runs once per route: _collections keeps its result
-        under (T, alpha budget, beta target, n budget), for T the search's
-        target, and serves it to every state that asks again.  A summand
-        (alpha0, beta0) with beta0 >= theta_k and the summand (alpha0 +
-        theta_k, beta0 - theta_k) of the first-sum child (d, alpha +
-        theta_k, beta - theta_k) have the same c, the same budgets and so
-        the same searches.
+        beta balance against them.  With records, a summand per factor
+        collection (_make_term), each from a fresh search; else one
+        summand per (alpha0, beta0, l, pair subset) with a nonzero weight
+        S, as follows.
+
+        A collection's coefficient factors into a part of the state and a
+        part of the search.  With ns = n - 1 - |beta0| the search's n
+        budget, a_rest = alpha - alpha0 its alpha budget, and (n_i,
+        alpha_i) the factors' dimensions and fixed tangencies:
+
+            (n-1)! / (prod n_i! beta0!) = C(n-1; ns, beta0) C(ns; n_i),
+            multinomial(alpha; alpha0, alpha_i)
+                = C(alpha; alpha0) multinomial(a_rest; alpha_i).
+
+        So the summand's contribution is 2^|beta0| C(n-1; ns, beta0)
+        C(alpha; alpha0) (l + 1) * pair weight * S, where S = the sum over
+        the search's collections of C(ns; n_i) multinomial(a_rest;
+        alpha_i) / sym * prod bweight * prod value (_fold).  The division
+        by the stabilizer order sym is exact: a rigid option (n_i = 0,
+        alpha_i = 0) appears at most once, so each group of identical
+        factors has n_i >= 1 or alpha_i != 0, and permuting its factors
+        permutes their nonempty sets of labelled points.  That action on
+        the assignments of the ns moving and the a_rest fixed labelled
+        points to the factors, which C(ns; n_i) multinomial(a_rest;
+        alpha_i) counts, is free, so sym divides the count; _fold divides
+        before it multiplies by the weights and values, and still refuses a
+        remainder.
+
+        S depends on the search only, so it is computed once per route:
+        the search memo keeps it under (T, alpha budget, beta target, n
+        budget), for T the search's target, and serves it to every state
+        that asks again.  A summand (alpha0, beta0) with beta0 >= theta_k
+        and the summand (alpha0 + theta_k, beta0 - theta_k) of the
+        first-sum child (d, alpha + theta_k, beta - theta_k) have the same
+        c, the same budgets and so the same searches.
 
         The table a state hands the search stays out of that key, since
         the result does not depend on it.  Let T = t + c (K + E) - P be
@@ -662,7 +701,7 @@ class Evaluator:
         by their index in that same table, ascending.  So the same key
         gives the same tuple of the same pick objects from any state, and
         _symmetry_factor, which tests picks for identity, counts the same
-        repeats.
+        repeats: the same S.
         """
         spec = self.spec
         zero_t = self._zero_coords
@@ -680,6 +719,7 @@ class Evaluator:
         # 0 while E.(D - E + c (K + E)) >= 0 (E.(K + E) = -2): the (T, E.T,
         # -K.T, pair ids, weight) with T = 0, or with both degrees >= 1 and
         # T feasible (picard.feasible).  Only these reach the search.
+        intern = route.targets.setdefault
         admitted = []
         for c in range(te_base // 2 + 1):
             t = tuple([x + c * y for x, y in zip(d_minus_e, ke)])
@@ -694,7 +734,7 @@ class Evaluator:
                 if tp == zero_t or (
                     tp_te >= 1 and tp_ak >= 1 and feasible(spec.lattice, tp)
                 ):
-                    row.append((tp, tp_te, tp_ak, pair_ids, p_weight))
+                    row.append((intern(tp, tp), tp_te, tp_ak, pair_ids, p_weight))
             admitted.append(row)
         n1 = n - 1
         # The search takes its alpha budget and beta target packed
@@ -707,12 +747,14 @@ class Evaluator:
             nb0 = norm(beta0)
             if nb0 <= n1:
                 beta0s.append((beta0, nb0, iweight(beta0), p_beta - pack(beta0)))
+        searches = route.searches
         for alpha0 in enumerate_le(alpha):
             ia0 = iweight(alpha0)
             a_budget = p_alpha - pack(alpha0)
             for beta0, nb0, ib0, bm_target in beta0s:
                 ns_target = n1 - nb0
                 ibm = i_beta - ib0
+                coeff = 0  # the state's part, computed at the first S != 0
                 # c = 2l + I(alpha0) + I(beta0) for l = 0, 1, ...
                 for l, row in enumerate(admitted[ia0 + ib0::2]):
                     if l > route.l_max:
@@ -722,14 +764,71 @@ class Evaluator:
                         # <= E.T - 1
                         if te and ibm >= te:
                             continue
-                        for chosen in self._collections(
-                            route, t, te, ak, a_budget, bm_target, ibm, ns_target,
-                            table, floor,
-                        ):
-                            yield self._make_term(
-                                route, n1, l, alpha, alpha0, beta0, nb0, chosen,
-                                pair_ids, p_weight,
+                        if records:
+                            for chosen in self._collections(
+                                route, t, te, ak, a_budget, bm_target, ibm,
+                                ns_target, table, floor,
+                            ):
+                                yield self._make_term(
+                                    route, n1, l, alpha, alpha0, beta0, nb0, chosen,
+                                    pair_ids, p_weight,
+                                )
+                            continue
+                        key = (t, a_budget, bm_target, ns_target)
+                        s = searches.get(key)
+                        if s is None:
+                            s = searches[key] = self._fold(
+                                route, self._collections(
+                                    route, t, te, ak, a_budget, bm_target, ibm,
+                                    ns_target, table, floor,
+                                ), ns_target, alpha - alpha0,
                             )
+                        if not s:
+                            continue
+                        if not coeff:
+                            coeff = 1 << nb0
+                            if alpha0:
+                                coeff *= multinomial(alpha, [alpha0])
+                            coeff *= _multinomial_exact(
+                                n1, [ns_target] + [cnt for _, cnt in beta0],
+                                "n - 1 = ns + |beta0|",
+                            )
+                        c_l = coeff * (l + 1)  # the weight of l pencil components
+                        yield (
+                            "split", None, l, alpha0, beta0, (), pair_ids, c_l,
+                            c_l * p_weight * s,
+                        )
+
+    def _fold(
+        self,
+        route: _Route,
+        collections: Iterable[Tuple[Tuple[_Option, tuple, int], ...]],
+        ns: int,
+        a_rest: TangencyVector,
+    ) -> int:
+        """The weight S of one search (see _split_terms): the sum over its
+        collections of C(ns; n_i) multinomial(a_rest; alpha_i) / sym * prod
+        bweight * prod value, for the n budget ns and the alpha budget
+        a_rest."""
+        memo = route.memo
+        total = 0
+        for chosen in collections:
+            weight = _multinomial_exact(
+                ns, [opt.n_i for opt, _, _ in chosen], "sum n_i = n-1-|beta0|"
+            )
+            parts = [opt.alpha for opt, _, _ in chosen if opt.palpha]
+            if parts:
+                weight *= multinomial(a_rest, parts)
+            sym = _symmetry_factor(chosen)
+            if sym > 1:
+                weight, rem = divmod(weight, sym)
+                if rem:
+                    raise InternalCheckError("symmetrized weight is not an integer")
+            # the search read every factor's value, so the memo holds it
+            for opt, row, _ in chosen:
+                weight *= row[3] * memo[opt.memo_key]
+            total += weight
+        return total
 
     def _collections(
         self,
@@ -743,10 +842,10 @@ class Evaluator:
         ns_target: int,
         table: Tuple[Tuple[_Block, ...], Dict[tuple, tuple]],
         floor: Tuple[float, float],
-    ) -> Tuple[Tuple[Tuple[_Option, tuple, int], ...], ...]:
+    ) -> List[Tuple[Tuple[_Option, tuple, int], ...]]:
         """The unordered factor collections that match one search's budgets
-        exactly, from the route's search memo or, on a miss, searched and
-        kept there, an empty result included.
+        exactly.  The search consults no memo of searches; _split_terms
+        keeps each search's weight S.
 
         The target is given by its coordinates t_root, its E-degree te0 and
         its -K degree ak0.  The alpha budget and the beta target
@@ -754,10 +853,10 @@ class Evaluator:
         target's I.  _split_terms hands over only admitted targets: zero, or
         feasible with both degrees >= 1 and the beta balance ibm0 <= te0 -
         1.  te0 and ak0 are linear in t_root and ibm0 is I(bm_target), so
-        the key leaves them out; why it leaves out the table, the (blocks,
-        fit memo) pair _table returns, is in _split_terms.  A collection is
-        a tuple of the blocks' picks in non-decreasing canonical order, each
-        unordered collection once.
+        the search memo's key (in _split_terms) leaves them out; why it
+        leaves out the table, the (blocks, fit memo) pair _table returns,
+        is in _split_terms.  A collection is a tuple of the blocks' picks in
+        non-decreasing canonical order, each unordered collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
         each; the blocks of the reduced route further restrict them to real
         lines other than E carrying a single simple moving branch.
@@ -793,13 +892,9 @@ class Evaluator:
         reads, and with it the order of insertion into the value memo,
         changes.  The store is written sorted, so its bytes do not.
         """
-        found = route.searches.get((t_root, a_budget, bm_target, ns_target))
-        if found is not None:
-            return found
         blocks, fits = table
         floor1, floor2 = floor
         zero_t = self._zero_coords
-        t_root = route.targets.setdefault(t_root, t_root)
         memo = route.memo
         value_of = self._value
         fitting = self._fitting
@@ -886,9 +981,10 @@ class Evaluator:
                     acc.pop()
 
         dfs(0, 0, t_root, te0, ak0, a_budget, bm_target, ibm0, ns_target, [])
-        found = tuple(complete)
-        route.searches[(t_root, a_budget, bm_target, ns_target)] = found
-        return found
+        # dfs refers to itself, a cycle that would keep the evaluator and the
+        # table it closes over alive until the cyclic collector runs
+        del dfs
+        return complete
 
     def _make_term(
         self,

@@ -426,7 +426,9 @@ class _LinearScanEvaluator(Evaluator):
     objects, never the packed forms the engine's search takes.  It keeps
     no search memo: every search of every state runs afresh, so a search
     key that left out a field the collections depend on would show as a
-    difference."""
+    difference.  It yields a term per collection whether or not records
+    are asked for, so its eval sums the terms the engine folds into one
+    weight per search."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -440,7 +442,7 @@ class _LinearScanEvaluator(Evaluator):
             entry = self._grouped[id(blk)] = (blk, _by_option(blk.picks))
         return entry[1]
 
-    def _split_terms(self, route, d, alpha, beta, n):
+    def _split_terms(self, route, d, alpha, beta, n, records=False):
         spec = self.spec
         t_base, ke = d - spec.e_class, spec.k_plus_e()
         budget = spec.antik_degree(d) - 1
@@ -566,9 +568,11 @@ def _search_pair(surface):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_factor_search_matches_linear_scan(data):
-    # A split sum yields one term per factor collection, and the term lists
-    # the collection's decorated factors (class, alpha, beta, gamma): equal
-    # term lists mean equal collections, in the same order.
+    # A split sum with records yields one term per factor collection, and
+    # the term lists the collection's decorated factors (class, alpha,
+    # beta, gamma): equal term lists mean equal collections, in the same
+    # order.  Without records the engine folds each search into one
+    # weight; its total must be the oracle's sum over the collections.
     surface = data.draw(st.sampled_from(sorted(_SEARCH_SURFACES)))
     fast, slow, classes = _search_pair(surface)
     spec = fast.spec
@@ -581,8 +585,10 @@ def test_factor_search_matches_linear_scan(data):
     assume(n >= 1 and spec.class_allowed(d))
     route = data.draw(st.sampled_from(("_full", "_reduced")))
     want = list(slow._split_terms(getattr(slow, route), d, alpha, beta, n))
-    got = list(fast._split_terms(getattr(fast, route), d, alpha, beta, n))
+    got = list(fast._split_terms(getattr(fast, route), d, alpha, beta, n, True))
     assert got == want
+    folded = fast._split_terms(getattr(fast, route), d, alpha, beta, n)
+    assert sum(s[-1] for s in folded) == sum(s[-1] for s in want)
 
 
 def _draw_key(data, spec, classes):
@@ -609,9 +615,11 @@ def test_shared_searches_trace_like_fresh_ones(data):
     for _ in range(data.draw(st.integers(1, 3))):
         warm.eval(_draw_key(data, spec, classes))
     if data.draw(st.booleans()):
-        # Once the key has been expanded, every search of its split sum is
-        # a memo hit.  (An eval would not do: it may read the key's value
-        # from its orbit representative without searching for the key.)
+        # expand searches the key's split sum afresh and leaves the search
+        # memo as it was; once the key has been expanded, its children's
+        # values are in the memo, so a second expand adds no entry.  (An
+        # eval would not do: it may read the key's value from its orbit
+        # representative without evaluating the key's children.)
         warm.expand(key)
         searches = dict(warm._full.searches)
         got = warm.expand(key)
@@ -624,13 +632,34 @@ def test_shared_searches_trace_like_fresh_ones(data):
     assert not oracle._full.searches  # the oracle searches afresh
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eval_is_the_sum_of_the_expanded_terms(data):
+    # eval folds each search into one weight; expand searches afresh and
+    # lists a term per collection.  Fresh and warm evaluators alike, and on
+    # the cubic's reduced route, which expand does not reach, the split
+    # sum's folded and per-collection totals.
+    surface = data.draw(st.sampled_from(sorted(_SEARCH_SURFACES)))
+    warm, _, classes = _search_pair(surface)
+    spec = warm.spec
+    key = _draw_key(data, spec, classes)
+    for ev in (Evaluator(spec), warm):
+        assert ev.eval(key) == sum(r.contribution for r in ev.expand(key))
+    n = spec.r_dim_class(key.d, norm(key.beta))
+    if spec.lattice.model == "cubic" and n >= 1:
+        for ev in (Evaluator(spec), warm):
+            args = (ev._reduced, key.d, key.alpha, key.beta, n)
+            folded = sum(s[-1] for s in ev._split_terms(*args))
+            assert folded == sum(s[-1] for s in ev._split_terms(*args, True))
+
+
 def test_warm_evaluator_matches_oracle_on_every_cubic_key():
     # One evaluator takes every key of every class of the twisted cubic up
     # to -K.D 11 in class order, on both routes, so that later keys read
     # searches that earlier ones made; the oracle searches each afresh.
     # Collisions are rare: a search memo keyed without its beta target
-    # reads back wrong collections for 18 of these 848 keys, and for none
-    # of them when each is evaluated alone.
+    # reads back wrong weights for 18 of these 848 keys, and for 3 of them
+    # when each is evaluated alone, on a fresh evaluator.
     spec = make_surface("B1", twist="F")
     classes = sorted(
         set(spec.nef_big_classes(11)) | set(candidate_factors(
