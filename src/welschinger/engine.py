@@ -104,19 +104,22 @@ search takes what it is handed.
 The factor search walks the route's whole table: at a node with
 remainder t, the blocks from the node's block index on in table order,
 and their picks from that index on.  It descends into a block b only when
-t - b is feasible, the coordinate fit first (rank 7: b_0 <= t_0, b_1 >=
-t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3; rank 3: b_i <= t_i), or,
-where the block uses up the E-degree or the -K degree, when b = t.  On
-rank 7 the remainder must then pass the conic half of the test, which on
-a cold P2[6,0] -3K drops most fitting remainders before their picks are
-walked, and with them the factor values those picks would have read; the
-cubic's rank-3 test has no conic half.  The tests depend only on t and
-the table, so they run once per (table, remainder): each table keeps a
-fit memo, per remainder the blocks that fit and their remainders t - b
-(_fitting), and a node reads it from its own block index on (bisect).  On
-rank 7 a block must also fit the asking state's D - E on slots 1 and 2
-(see _collections).  A pick whose remainder would fail the beta balance
-I(beta_rem) <= E.t_rem - 1 is skipped before the search descends into it.
+the blocks can still finish t with it: t - b is zero, or some block at
+or after b, in table order, finishes t - b in turn.  The test depends
+only on t and the table, so it runs once per (table, remainder): each
+table keeps a fit memo, per remainder the blocks it can be finished with
+and their remainders t - b (_fitting), built recursively through the same
+memo, and a node reads its remainder's entry from its own block index on
+(bisect).  Before it recurses, an entry drops the blocks that fail a test
+every sum of blocks passes: b = t where b uses up the E-degree or the -K
+degree, else t - b feasible, the coordinate fit first (rank 7: b_0 <=
+t_0, b_1 >= t_1 - 1, b_2 >= t_2 - 1, b_i >= t_i for i >= 3; rank 3: b_i
+<= t_i), then on rank 7 the conic half.  So the search never enters a
+remainder no later block finishes, and reads no factor value of the
+blocks it would have walked there: a cold P2[6,0] -3K evaluates 355
+states, a cold twisted-cubic -6K 2 319.  A pick whose remainder would
+fail the beta balance I(beta_rem) <= E.t_rem - 1 is skipped before the
+search descends into it.
 
 A block's picks are tested the same way: whether a pick fits the node's n
 budget and alpha budget, and whether its factor's value is nonzero,
@@ -147,8 +150,9 @@ and the store hold TangencyVector objects.
 Each route also keeps a search memo: the weight S of a search, one
 integer that sums its complete factor collections, each with the search's
 part of its coefficient, its weights and its factors' values
-(_split_terms), keyed by (T, alpha budget, beta target, n budget), T the
-coordinates of the search's target and the two tangency budgets packed.
+(_split_terms), keyed by (T, alpha budget, beta target), T the
+coordinates of the search's target and the two tangency budgets packed;
+the n budget is not in the key, as T and the beta target fix it.
 A state (D, alpha, beta) and its first-sum children (D, alpha + theta_k,
 beta - theta_k) repeat each other's searches: the child's alpha0 +
 theta_k and beta0 - theta_k give the parent's c = 2l + I(alpha0) +
@@ -342,8 +346,8 @@ class _Route:
     # replaced whole, see Evaluator._table
     table: tuple = field(default_factory=lambda: (0, None, (), {}))
     store: Optional[Store] = None  # read on a memo miss; full route only
-    # (target coords, alpha budget, beta target, n budget) -> the weight S
-    # of that search; see Evaluator._split_terms
+    # (target coords, alpha budget, beta target) -> the weight S of that
+    # search; see Evaluator._split_terms
     searches: Dict[tuple, int] = field(default_factory=dict)
     # one tuple object per distinct search target or remainder, shared by
     # the search memo's keys and the fit memos
@@ -465,7 +469,6 @@ class Evaluator:
         self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
         self._indices: Tuple[int, ...] = ()  # shared by the fit memos, see _fitting
-        self._cubic = spec.lattice.model == "cubic"
         # The split sum's targets D - E + c (K + E), on coordinates; their -K
         # degree moves by _ke_antik per unit of c.
         ke = spec.k_plus_e()
@@ -668,12 +671,16 @@ class Evaluator:
         remainder.
 
         S depends on the search only, so it is computed once per route:
-        the search memo keeps it under (T, alpha budget, beta target, n
-        budget), for T the search's target, and serves it to every state
-        that asks again.  A summand (alpha0, beta0) with beta0 >= theta_k
-        and the summand (alpha0 + theta_k, beta0 - theta_k) of the
-        first-sum child (d, alpha + theta_k, beta - theta_k) have the same
-        c, the same budgets and so the same searches.
+        the search memo keeps it under (T, alpha budget, beta target), for
+        T the search's target, and serves it to every state that asks
+        again.  A summand (alpha0, beta0) with beta0 >= theta_k and the
+        summand (alpha0 + theta_k, beta0 - theta_k) of the first-sum child
+        (d, alpha + theta_k, beta - theta_k) have the same c, the same
+        budgets and so the same searches.  The key leaves out the n budget
+        ns = n - 1 - |beta0|, as T and the beta target fix it: with
+        n = -D.(K + E) + |beta| - 1, E.(K + E) = -2, (K + E)^2 = 0 and
+        P.(K + E) = 0 for every pair item P (on every model here),
+        -T.(K + E) = -D.(K + E) - 2, so ns = -T.(K + E) + |beta - beta0|.
 
         The table a state hands the search stays out of that key, since
         the result does not depend on it.  Let T = t + c (K + E) - P be
@@ -683,7 +690,7 @@ class Evaluator:
           of the collection's other blocks, so it is feasible, and then
           t - b = (T - b) - c (K + E) + P is feasible by the argument in
           _table.  That holds for every state that reaches T, whatever its
-          t, so b also passes the search's floors.
+          t.
         * Its -K degree is at most -K.T <= -K.t, the state's budget, as
           -K.(K + E) = -2 and -K.P >= 0.  So b is in the table that covers
           t at that budget (the proof at _table): every state's table holds
@@ -698,10 +705,16 @@ class Evaluator:
         The search finds exactly the collections whose blocks are all in
         its table, each as its picks in table order, which is that one
         sequence's order: the fit memo it reads lists a remainder's blocks
-        by their index in that same table, ascending.  So the same key
-        gives the same tuple of the same pick objects from any state, and
-        _symmetry_factor, which tests picks for identity, counts the same
-        repeats: the same S.
+        by their index in that same table, ascending.  Those lists keep
+        only the blocks with which a remainder can be finished (_fitting),
+        and lose no block of a complete collection of T: the blocks after
+        any pick of it finish that pick's remainder, a non-decreasing run
+        from the pick's block on, so each of them passes the fit test
+        where the search meets it, and by induction on the number of
+        blocks left every block of the collection is in the lists the
+        search walks.  So the same key gives the same tuple of the same
+        pick objects from any state, and _symmetry_factor, which tests
+        picks for identity, counts the same repeats: the same S.
         """
         spec = self.spec
         zero_t = self._zero_coords
@@ -710,9 +723,6 @@ class Evaluator:
         te_base = spec.e_degree(d) + 1  # E.(D - E), as E.E = -1
         budget = spec.antik_degree(d) - 1  # -K.(D - E), as -K.E = 1
         table = self._table(route, budget, d_minus_e) if budget >= 1 else ((), {})
-        # rank 7: the floors t_1 - 1 and t_2 - 1 of the coordinate fit to t
-        # on slots 1 and 2 (see _collections); rank 3 has none
-        floor = (-math.inf,) * 2 if self._cubic else (d_minus_e[1] - 1, d_minus_e[2] - 1)
         # The targets T = D - E + c (K + E) - P, P a pair subset's class
         # sum, built on the coordinates with their two degrees.  T depends
         # on c and P only, so the state admits its targets once, per c from
@@ -767,20 +777,22 @@ class Evaluator:
                         if records:
                             for chosen in self._collections(
                                 route, t, te, ak, a_budget, bm_target, ibm,
-                                ns_target, table, floor,
+                                ns_target, table,
                             ):
                                 yield self._make_term(
                                     route, n1, l, alpha, alpha0, beta0, nb0, chosen,
                                     pair_ids, p_weight,
                                 )
                             continue
-                        key = (t, a_budget, bm_target, ns_target)
+                        # T and the beta target fix the n budget ns (the
+                        # proof is in the docstring), so the key leaves it out
+                        key = (t, a_budget, bm_target)
                         s = searches.get(key)
                         if s is None:
                             s = searches[key] = self._fold(
                                 route, self._collections(
                                     route, t, te, ak, a_budget, bm_target, ibm,
-                                    ns_target, table, floor,
+                                    ns_target, table,
                                 ), ns_target, alpha - alpha0,
                             )
                         if not s:
@@ -841,7 +853,6 @@ class Evaluator:
         ibm0: int,
         ns_target: int,
         table: Tuple[Tuple[_Block, ...], Dict[tuple, tuple]],
-        floor: Tuple[float, float],
     ) -> List[Tuple[Tuple[_Option, tuple, int], ...]]:
         """The unordered factor collections that match one search's budgets
         exactly.  The search consults no memo of searches; _split_terms
@@ -850,22 +861,40 @@ class Evaluator:
         The target is given by its coordinates t_root, its E-degree te0 and
         its -K degree ak0.  The alpha budget and the beta target
         sum(beta_i - gamma_i) come packed (tangency.pack), with ibm0 the
-        target's I.  _split_terms hands over only admitted targets: zero, or
-        feasible with both degrees >= 1 and the beta balance ibm0 <= te0 -
-        1.  te0 and ak0 are linear in t_root and ibm0 is I(bm_target), so
-        the search memo's key (in _split_terms) leaves them out; why it
-        leaves out the table, the (blocks, fit memo) pair _table returns,
-        is in _split_terms.  A collection is a tuple of the blocks' picks in
+        target's I.  _split_terms hands over only admitted targets: zero,
+        or feasible with both degrees >= 1 and the beta balance
+        ibm0 <= te0 - 1.  te0 and ak0 are linear in t_root, ibm0 is
+        I(bm_target), and t_root and bm_target fix ns_target, so the search
+        memo's key (in _split_terms) leaves them out; why it leaves out the
+        table, the (blocks, fit memo) pair _table returns, is in
+        _split_terms.  A collection is a tuple of the blocks' picks in
         non-decreasing canonical order, each unordered collection once.
         Rigid options (n_i = 0 with no fixed tangencies) appear at most once
         each; the blocks of the reduced route further restrict them to real
         lines other than E carrying a single simple moving branch.
 
-        floor holds the asking state's fit floors t_1 - 1 and t_2 - 1, t =
-        D - E (rank 3: none).  A block that fits a node's remainder can miss
-        them, after an E_1 or E_2 or with the pair E_1 + E_2, though no
-        complete collection holds it (_split_terms): the search skips it and
-        reads no value for it.
+        A node walks its remainder's fit list (_fitting), which holds only
+        the blocks with which the remainder can still be finished, and
+        loses no block of a complete collection (the proof is in
+        _split_terms): a value is read when its block is in the node's fit
+        list.  On rank 7 that list also meets the floors b_i >= t_i - 1 on
+        slots 1 and 2 of the asking state's t = D - E, which every block
+        of a complete collection meets (_split_terms) but a block that only
+        fits a remainder can miss.  E_2 and E_1, where a table holds them,
+        are its first blocks, of -K degree 1 with coords (0, 0, 1, 0, ...)
+        < (0, 1, 0, ...) < every other candidate, and only they are
+        positive on slot 1 or 2.
+        * A kept block b other than E_1 and E_2 leaves r - b zero or a sum
+          of later blocks, r the node's remainder, so b_i >= r_i for
+          i = 1, 2.  The picks so far hold E_i at most once, as its one
+          option is rigid, so r_i >= T_i - 1 for the search's target
+          T = t + c (K + E) - P, where T_i = t_i - P_i as K + E is 0 on
+          slots 1 and 2.  Of the pair sums only E_1 + E_2 has P_i > 0, and
+          it exists only where E_1 and E_2 are conjugate, when neither is
+          a candidate: then r_i >= T_i = t_i - 1, and else
+          r_i >= T_i - 1 >= t_i - 1.  Either way b_i >= t_i - 1.
+        * For b = E_1 or E_2, b_i is 0 or 1 >= t_i - 1, as t_i <= 1 for
+          every state that searches.
 
         At a block it reads the value of every pick from the node's pick
         index on that fits the node's n and alpha budgets, before testing
@@ -893,11 +922,9 @@ class Evaluator:
         changes.  The store is written sorted, so its bytes do not.
         """
         blocks, fits = table
-        floor1, floor2 = floor
         zero_t = self._zero_coords
         memo = route.memo
         value_of = self._value
-        fitting = self._fitting
         live_picks = self._live_picks
         guard = GUARD
         complete = []
@@ -910,12 +937,10 @@ class Evaluator:
                 if not bm_rem and ns_rem == 0:
                     complete.append(tuple(acc))
                 return
-            # te_rem >= 1, ak_rem >= 1, the beta balance ibm_rem <= te_rem - 1
-            # and a feasible t_rem hold already: the root is admitted by
-            # _split_terms, every descent is checked by _fitting.
-            fit = fits.get(t_rem)
-            if fit is None:
-                fit = fits[t_rem] = fitting(route, blocks, t_rem, te_rem, ak_rem)
+            # te_rem >= 1, ak_rem >= 1, ibm_rem <= te_rem - 1 and t_rem's fit
+            # entry hold already: _split_terms admitted the root, whose entry
+            # is built below, and _fitting kept every descent, with its entry.
+            fit = fits[t_rem]
             # the block indices, then their remainders
             n_fit = len(fit) >> 1
             # x <= a_rem iff (a_guard - x) & guard == guard, for packed x
@@ -923,9 +948,6 @@ class Evaluator:
             for i in range(bisect_left(fit, b0, 0, n_fit), n_fit):
                 bi = fit[i]
                 blk = blocks[bi]
-                c = blk.coords
-                if c[1] < floor1 or c[2] < floor2:
-                    continue  # fits the remainder, not t: in no collection
                 if ns_rem < blk.n_min:
                     continue  # no pick fits n
                 # The live picks: those that fit n and alpha and have a
@@ -980,6 +1002,8 @@ class Evaluator:
                     )
                     acc.pop()
 
+        if t_root != zero_t and t_root not in fits:
+            self._fitting(route, blocks, fits, t_root, te0, ak0)
         dfs(0, 0, t_root, te0, ak0, a_budget, bm_target, ibm0, ns_target, [])
         # dfs refers to itself, a cycle that would keep the evaluator and the
         # table it closes over alive until the cyclic collector runs
@@ -1126,14 +1150,25 @@ class Evaluator:
         return tuple(picks)
 
     def _fitting(
-        self, route: _Route, blocks: Tuple[_Block, ...], t: Tuple[int, ...],
-        te: int, ak: int,
+        self, route: _Route, blocks: Tuple[_Block, ...], fits: Dict[tuple, tuple],
+        t: Tuple[int, ...], te: int, ak: int,
     ) -> tuple:
         """The fit memo's entry for the nonzero search remainder t, E.t = te
-        and -K.t = ak: one tuple of the indices, ascending, of the blocks b
-        with -K.b <= ak, E.b <= te and t - b zero where either of its
-        degrees is zero, feasible (picard.feasible) otherwise, followed by
-        their remainders t - b, interned through the route's targets."""
+        and -K.t = ak, stored into fits: one tuple of the indices, ascending,
+        of the blocks b with which t can be finished, followed by their
+        remainders t - b, interned through the route's targets.
+
+        A block b of index i is kept when t - b is zero, or when the entry
+        of t - b, built the same way through fits, ends with an index >= i:
+        then a non-decreasing run of blocks from b on sums to t.  Each step
+        takes -K.b >= 1 off the remainder, so the recursion ends, and an
+        entry lists exactly the blocks with which t can be finished by a
+        non-decreasing run of the table's blocks.  A block is first held to
+        cheaper tests that every sum of blocks passes, so that no entry is
+        built for a remainder that cannot be one: -K.b <= ak, E.b <= te,
+        t - b zero where either of its degrees is zero (every block has
+        both degrees >= 1), and t - b feasible (picard.feasible, see
+        _split_terms) otherwise."""
         zero_t = self._zero_coords
         intern = route.targets.setdefault
         # one int object per table index, for every entry: enumerate makes
@@ -1141,7 +1176,7 @@ class Evaluator:
         indices = self._indices
         if len(indices) < len(blocks):
             indices = self._indices = tuple(range(len(blocks)))
-        cubic = self._cubic
+        cubic = len(t) == 3  # the cubic's lattice has rank 3
         if cubic:
             t0, t1, t2 = t
         else:
@@ -1182,9 +1217,17 @@ class Evaluator:
                     or new_ak - d_new < u[4] + u[5]
                 ):
                     continue
+            new_t = intern(new_t, new_t)
+            if new_te and new_ak:  # t - b is not zero
+                sub = fits.get(new_t)
+                if sub is None:
+                    sub = self._fitting(route, blocks, fits, new_t, new_te, new_ak)
+                if not sub or sub[(len(sub) >> 1) - 1] < bi:
+                    continue  # no block from b on finishes t - b
             index.append(bi)
-            kids.append(intern(new_t, new_t))
-        return tuple(index + kids)
+            kids.append(new_t)
+        entry = fits[t] = tuple(index + kids)
+        return entry
 
     def _live_picks(self, route: _Route, blk: _Block, n: int, a: int) -> tuple:
         """The live-pick memo's entry for the block blk under the n budget n

@@ -392,6 +392,8 @@ def nef_classes_up_to(
                 m[i] = 0
 
         rec(0, [0] * 6, 0, 0)
+        # rec refers to itself, a cycle that only the cyclic collector frees
+        del rec
     return tuple(sorted(found))
 
 

@@ -226,6 +226,8 @@ def odd_partitions(total: int) -> Tuple[TangencyVector, ...]:
             k -= 2
 
     rec(total, total, {})
+    # rec refers to itself, a cycle that only the cyclic collector frees
+    del rec
     return tuple(results)
 
 
