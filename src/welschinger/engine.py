@@ -92,12 +92,13 @@ stamps its class's n_i onto the template's rows as a flat list of picks,
 one per option and marked branch, each with the index where a collection
 holding it continues.
 
-Each recursion state admits its split targets once, in _split_terms.  A
-target T = D - E + c (K + E) - P depends only on c = 2l + I(alpha0) +
-I(beta0) and the pair subset P, so the state lists, per c, the targets
-that are zero, or that have both degrees >= 1 and are feasible
-(picard.feasible).  Its (alpha0, beta0, l) summands read that list and
-test only the beta balance I(beta - beta0) <= E.T - 1 of a nonzero T.
+Each route admits the split targets of a class D once, for every state
+(D, alpha, beta), in _split_terms.  A target T = D - E + c (K + E) - P
+depends only on D, c = 2l + I(alpha0) + I(beta0) and the pair subset P,
+so the route lists, per c, the targets that are zero, or that have both
+degrees >= 1 and are feasible (picard.feasible).  A state's (alpha0,
+beta0, l) summands read that list and test only the beta balance
+I(beta - beta0) <= E.T - 1 of a nonzero T.
 Only _split_terms decides which targets a state can split into; the
 search takes what it is handed.
 
@@ -141,11 +142,11 @@ The search holds its remaining alpha budget and beta target packed
 (tangency.pack): one integer per vector, an 8-bit field per odd order
 with a guard bit, so that a pick's fit is one subtraction and mask and
 its remainder one integer subtraction.  The template rows and options
-carry their packed vectors next to the TangencyVector ones, and each
-recursion state packs its alpha and beta once and lists its beta0
-choices, with |beta0|, I(beta0) and beta - beta0 packed, once for all
-alpha0.  Only the search sees the packed form: keys, summands, records
-and the store hold TangencyVector objects.
+carry their packed vectors next to the TangencyVector ones, and the
+evaluator lists the v0 <= v of a tangency vector v, with |v0|, I(v0) and
+v - v0 packed, once for all states: their alpha0 and beta0 choices.
+Only the search sees the packed form: keys, summands, records and the
+store hold TangencyVector objects.
 
 Each route also keeps a search memo: the weight S of a search, one
 integer that sums its complete factor collections, each with the search's
@@ -352,6 +353,9 @@ class _Route:
     # one tuple object per distinct search target or remainder, shared by
     # the search memo's keys and the fit memos
     targets: Dict[tuple, tuple] = field(default_factory=dict)
+    # raw D coords -> the split targets every state of class D admits, per
+    # c: (T, E.T, -K.T, pair ids, weight); see Evaluator._split_targets
+    split_targets: Dict[tuple, tuple] = field(default_factory=dict)
 
 
 def _symmetry_factor(chosen) -> int:
@@ -423,13 +427,15 @@ def _multinomial_exact(total: int, parts: List[int], context: str) -> int:
 class Evaluator:
     """Shared-store evaluator bound to one surface specification.
 
-    Thread-safety: every memo (values, searches, the tables' fit memos,
-    the blocks' live-pick memos) changes only by idempotent dictionary
-    inserts under canonical value-determining keys, so concurrent use
-    converges to identical contents: two threads that make the same search
-    at once store equal ints S (see _split_terms), and two that build one
-    block's live entry store equal tuples of that block's own pick
-    objects.  A route's factor table is never mutated in place: a switch to the whole cone or a
+    Thread-safety: every memo (values, searches, split targets, split
+    lists, the tables' fit memos, the blocks' live-pick memos) changes only
+    by idempotent dictionary inserts under canonical value-determining
+    keys, so concurrent use converges to identical contents: two threads
+    that make the same search at once store equal ints S (see
+    _split_terms), two that build one split-target or split-list entry
+    store equal tuples, and two that build one block's live entry store
+    equal tuples of that block's own pick objects.  A route's factor
+    table is never mutated in place: a switch to the whole cone or a
     growth replaces the route's (budget, target, blocks, fit memo), the
     memo new and empty, in one assignment, so a reader holds the old table
     or the new one, each complete for its budget and target.  A search
@@ -469,6 +475,10 @@ class Evaluator:
         self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
         self._indices: Tuple[int, ...] = ()  # shared by the fit memos, see _fitting
+        # tangency vector v -> (v0, |v0|, I(v0), pack(v) - pack(v0)) for each
+        # v0 <= v in enumerate_le order: the alpha0 and beta0 lists of
+        # _split_terms
+        self._split_lists: Dict[TangencyVector, tuple] = {}
         # The split sum's targets D - E + c (K + E), on coordinates; their -K
         # degree moves by _ke_antik per unit of c.
         ke = spec.k_plus_e()
@@ -640,12 +650,13 @@ class Evaluator:
         records: bool = False,
     ) -> Iterator[Summand]:
         """The split sum at (d, alpha, beta) of dimension n, by
-        (alpha0, beta0, l, pair subset).  The state admits its targets once
-        per (c, pair subset), and each (alpha0, beta0, l) tests only its
-        beta balance against them.  With records, a summand per factor
-        collection (_make_term), each from a fresh search; else one
-        summand per (alpha0, beta0, l, pair subset) with a nonzero weight
-        S, as follows.
+        (alpha0, beta0, l, pair subset).  The route admits the targets of
+        class d once per (c, pair subset), for every state of that class
+        (_split_targets), and each (alpha0, beta0, l) tests only its beta balance
+        against them.  With records, a summand per factor collection
+        (_make_term), each from a fresh search; else one summand per
+        (alpha0, beta0, l, pair subset) with a nonzero weight S, as
+        follows.
 
         A collection's coefficient factors into a part of the state and a
         part of the search.  With ns = n - 1 - |beta0| the search's n
@@ -717,51 +728,20 @@ class Evaluator:
         picks for identity, counts the same repeats: the same S.
         """
         spec = self.spec
-        zero_t = self._zero_coords
-        ke, ke_antik, e_form = self._ke_coords, self._ke_antik, self._e_form
         d_minus_e = tuple(map(operator.sub, d.coords, spec.e_class.coords))
-        te_base = spec.e_degree(d) + 1  # E.(D - E), as E.E = -1
         budget = spec.antik_degree(d) - 1  # -K.(D - E), as -K.E = 1
         table = self._table(route, budget, d_minus_e) if budget >= 1 else ((), {})
-        # The targets T = D - E + c (K + E) - P, P a pair subset's class
-        # sum, built on the coordinates with their two degrees.  T depends
-        # on c and P only, so the state admits its targets once, per c from
-        # 0 while E.(D - E + c (K + E)) >= 0 (E.(K + E) = -2): the (T, E.T,
-        # -K.T, pair ids, weight) with T = 0, or with both degrees >= 1 and
-        # T feasible (picard.feasible).  Only these reach the search.
-        intern = route.targets.setdefault
-        admitted = []
-        for c in range(te_base // 2 + 1):
-            t = tuple([x + c * y for x, y in zip(d_minus_e, ke)])
-            te = te_base - 2 * c
-            if sum(map(operator.mul, t, e_form)) != te:
-                raise InternalCheckError("degree bookkeeping failed on T")
-            ak = budget + c * ke_antik
-            row = []
-            for pair_ids, p_coords, p_te, p_ak, p_weight in route.pair_subsets:
-                tp = tuple(map(operator.sub, t, p_coords))
-                tp_te, tp_ak = te - p_te, ak - p_ak
-                if tp == zero_t or (
-                    tp_te >= 1 and tp_ak >= 1 and feasible(spec.lattice, tp)
-                ):
-                    row.append((intern(tp, tp), tp_te, tp_ak, pair_ids, p_weight))
-            admitted.append(row)
+        admitted = self._split_targets(route, d, d_minus_e, budget)
         n1 = n - 1
+        i_beta = iweight(beta)
         # The search takes its alpha budget and beta target packed
-        # (tangency.pack).  The beta0 choices do not depend on alpha0, so
-        # they are listed once: (beta0, |beta0|, I(beta0), beta - beta0
-        # packed), with |beta0| <= n - 1.
-        p_alpha, p_beta, i_beta = pack(alpha), pack(beta), iweight(beta)
-        beta0s = []
-        for beta0 in enumerate_le(beta):
-            nb0 = norm(beta0)
-            if nb0 <= n1:
-                beta0s.append((beta0, nb0, iweight(beta0), p_beta - pack(beta0)))
+        # (tangency.pack), alpha - alpha0 and beta - beta0.
+        beta0s = self._split_list(beta)
         searches = route.searches
-        for alpha0 in enumerate_le(alpha):
-            ia0 = iweight(alpha0)
-            a_budget = p_alpha - pack(alpha0)
+        for alpha0, _, ia0, a_budget in self._split_list(alpha):
             for beta0, nb0, ib0, bm_target in beta0s:
+                if nb0 > n1:
+                    continue
                 ns_target = n1 - nb0
                 ibm = i_beta - ib0
                 coeff = 0  # the state's part, computed at the first S != 0
@@ -810,6 +790,54 @@ class Evaluator:
                             "split", None, l, alpha0, beta0, (), pair_ids, c_l,
                             c_l * p_weight * s,
                         )
+
+    def _split_targets(
+        self, route: _Route, d: DivisorClass, d_minus_e: Tuple[int, ...], budget: int
+    ) -> tuple:
+        """The split targets of every state of class d on the route, listed
+        once per route and class."""
+        admitted = route.split_targets.get(d.coords)
+        if admitted is not None:
+            return admitted
+        # Per c from 0 while E.(D - E + c (K + E)) >= 0 (E.(K + E) = -2),
+        # the (T, E.T, -K.T, pair ids, weight) for T = D - E + c (K + E) -
+        # P, P a pair subset's class sum, built on the coordinates with
+        # their two degrees: those with T = 0, or with both degrees >= 1 and
+        # T feasible (picard.feasible).  Only these reach the search.
+        spec = self.spec
+        zero_t = self._zero_coords
+        ke, ke_antik, e_form = self._ke_coords, self._ke_antik, self._e_form
+        te_base = spec.e_degree(d) + 1  # E.(D - E), as E.E = -1
+        intern = route.targets.setdefault
+        admitted = []
+        for c in range(te_base // 2 + 1):
+            t = tuple([x + c * y for x, y in zip(d_minus_e, ke)])
+            te = te_base - 2 * c
+            if sum(map(operator.mul, t, e_form)) != te:
+                raise InternalCheckError("degree bookkeeping failed on T")
+            ak = budget + c * ke_antik
+            row = []
+            for pair_ids, p_coords, p_te, p_ak, p_weight in route.pair_subsets:
+                tp = tuple(map(operator.sub, t, p_coords))
+                tp_te, tp_ak = te - p_te, ak - p_ak
+                if tp == zero_t or (
+                    tp_te >= 1 and tp_ak >= 1 and feasible(spec.lattice, tp)
+                ):
+                    row.append((intern(tp, tp), tp_te, tp_ak, pair_ids, p_weight))
+            admitted.append(tuple(row))
+        admitted = route.split_targets[d.coords] = tuple(admitted)
+        return admitted
+
+    def _split_list(self, v: TangencyVector) -> tuple:
+        """The (v0, |v0|, I(v0), pack(v) - pack(v0)) for each v0 <= v, in
+        enumerate_le order, listed once per evaluator."""
+        entry = self._split_lists.get(v)
+        if entry is None:
+            p_v = pack(v)
+            entry = self._split_lists[v] = tuple(
+                (v0, norm(v0), iweight(v0), p_v - pack(v0)) for v0 in enumerate_le(v)
+            )
+        return entry
 
     def _fold(
         self,

@@ -320,18 +320,22 @@ def nef_classes_up_to(
     window and is cut.  A leaf is nef exactly when the six conic
     inequalities hold, 2d >= S - min m; a kept leaf then passes the
     target's conic half, and only then becomes a class.
-    On the rank-3 model -K.D = d1+d2+d3 bounds every coordinate directly,
-    and a target caps each at t_i, which is all of feasible there.
+    On the rank-3 model the nef classes are the triangles listed directly,
+    in coordinate order, and a target caps each d_i at t_i, which is all of
+    feasible there.
     """
     found = []
     if lat.model == "cubic":
-        caps = target or (max_antik,) * 3
-        for coords in itertools.product(*[range(min(max_antik, c) + 1) for c in caps]):
-            d = DivisorClass(coords)
-            s = sum(coords)
-            if 1 <= s <= max_antik and is_nef(lat, d):
-                found.append(d)
-        return tuple(sorted(found))
+        # D.L_i = -K.D - 2 d_i, so D is nef exactly when (d1, d2, d3) is a
+        # triangle: |d1 - d2| <= d3 <= d1 + d2, each d_i <= -K.D / 2.
+        top = max_antik // 2
+        c1, c2, c3 = [min(top, c) for c in target or (top,) * 3]
+        for d1 in range(c1 + 1):
+            for d2 in range(c2 + 1):
+                lo = max(abs(d1 - d2), d1 + d2 == 0)  # not the zero class
+                hi = min(c3, d1 + d2, max_antik - d1 - d2)
+                found.extend(DivisorClass((d1, d2, d3)) for d3 in range(lo, hi + 1))
+        return tuple(found)
 
     # Conjugation-invariance forces m constant on swapped index pairs.
     orbits = _index_orbits(conj_perm)

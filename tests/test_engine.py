@@ -1241,6 +1241,61 @@ def test_values_independent_of_table_growth_order():
     )
 
 
+@pytest.mark.parametrize("model, a, b, twist, bound", [
+    ("B1", 0, 0, "F", 9), ("P2", 2, 2, "0", 7), ("P2", 4, 1, "0", 7),
+])
+def test_split_memos_do_not_depend_on_evaluation_order(
+    monkeypatch, model, a, b, twist, bound
+):
+    # The split targets (per route and class) and the split lists (per
+    # tangency vector) are built by whichever state asks first.  Internal
+    # keys, evaluated in shuffled order on one evaluator, both routes
+    # interleaved on the cubic, must give what a fresh evaluator per key
+    # and the raw-keyed evaluator give.  Half the classes are drawn with
+    # E-degree >= 3, so that split summands with l >= 1 occur.
+    spec = make_surface(model, a, b, twist=twist)
+    rng = random.Random(25)
+    classes = candidate_factors(
+        spec.lattice, spec.conj_perm, spec.e_class, bound,
+        blocked=spec.candidate_blocked(),
+    )
+    wide = [d for d in classes if spec.e_degree(d) >= 3]
+    keys = []
+    while len(keys) < 40:
+        d = rng.choice(wide if rng.random() < 0.5 else classes)
+        de = spec.e_degree(d)
+        ia = rng.randint(0, de)
+        alpha = rng.choice(odd_partitions(ia))
+        beta = rng.choice(odd_partitions(de - ia))
+        key = make_key(spec, d, alpha, beta)
+        top = not alpha and beta == theta(1, de)
+        if not top and spec.r_dim_class(d, norm(beta)) >= 1 and key not in keys:
+            keys.append(key)
+    methods = ["eval", "eval_cubic_fast"] if model == "B1" else ["eval"]
+    jobs = [(key, method) for key in keys for method in methods]
+    raw = Evaluator(spec, canonicalize=False)
+    want = [getattr(raw, method)(key) for key, method in jobs]
+    shared = Evaluator(spec)
+    seen = collections.Counter()
+    split_terms = Evaluator._split_terms
+
+    def recording(self, *args):
+        for summand in split_terms(self, *args):
+            if self is shared:
+                seen["l >= 1"] += summand[2] >= 1
+                seen["pairs"] += bool(summand[6])
+            yield summand
+
+    monkeypatch.setattr(Evaluator, "_split_terms", recording)
+    order = list(range(len(jobs)))
+    rng.shuffle(order)
+    for i in order:
+        key, method = jobs[i]
+        got = getattr(shared, method)(key)
+        assert got == want[i] == getattr(Evaluator(spec), method)(key), (key, method)
+    assert seen["l >= 1"] and seen["pairs"], seen
+
+
 def test_concurrent_table_growth():
     # Four threads grow one evaluator's tables from different first keys:
     # the first table holds one key's candidates, and the others switch it

@@ -118,6 +118,25 @@ def test_nef_enumeration_matches_brute_force_oracle():
             assert nef_classes_up_to(P2_LATTICE, perm, b) == want
 
 
+def test_cubic_nef_enumeration_matches_brute_force_oracle():
+    # Oracle: the product box 0 <= d_i <= B, kept inside the window
+    # 1 <= -K.D <= B when the line test calls it nef; a target t keeps the
+    # classes D <= t, the caps of the old box min(B, t_i).
+    targets = [None] + list(itertools.product(range(-2, 10), repeat=3))
+    for budget in range(14):
+        box = [
+            d for d in map(DivisorClass, itertools.product(range(budget + 1), repeat=3))
+            if 1 <= sum(d.coords) <= budget and is_nef(CUBIC_LATTICE, d)
+        ]
+        for target in targets:
+            want = tuple(
+                d for d in box
+                if target is None or all(x <= t for x, t in zip(d.coords, target))
+            )
+            got = nef_classes_up_to(CUBIC_LATTICE, (0, 1, 2), budget, target)
+            assert got == want, (budget, target)
+
+
 @pytest.mark.parametrize("n_real, count", [(6, 2639), (4, 769), (2, 219), (0, 53)])
 def test_nef_class_counts_at_budget_six(n_real, count):
     assert len(nef_classes_up_to(P2_LATTICE, conj_perm_p2(n_real), 6)) == count
