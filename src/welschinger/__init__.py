@@ -7,7 +7,7 @@ bundle, through an exact memoized recursion over tangency conditions with
 an auxiliary (-1)-curve.
 """
 
-from .engine import EvalKey, Evaluator, Store, cache_load, cache_save, make_key
+from .engine import EvalKey, Evaluator, make_key
 from .errors import (
     CacheError,
     InternalCheckError,
@@ -25,6 +25,7 @@ from .invariants import (
     welschinger,
 )
 from .picard import DivisorClass
+from .store import Store, cache_load, cache_save
 from .surfaces import PairItem, SurfaceSpec, make_surface, parse_surface
 from .tangency import TangencyVector, theta
 

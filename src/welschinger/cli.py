@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from .engine import Evaluator, cache_load, cache_save, make_key
+from .engine import Evaluator, make_key
 from .errors import (
     CacheError,
     InternalCheckError,
@@ -38,6 +38,7 @@ from .invariants import (
     welschinger,
 )
 from .picard import CUBIC_LATTICE, P2_LATTICE, class_to_str
+from .store import cache_load, cache_save
 from .surfaces import SurfaceSpec, parse_surface
 from .tangency import TangencyVector
 
@@ -150,7 +151,7 @@ def _evaluators(
     back beside the other surfaces' lines."""
     path = None if args.no_cache else args.cache or os.environ.get("WELSCHINGER_CACHE")
     sids = {spec.surface_id for spec in specs}
-    store = cache_load(path, surface_ids=sids) if path and os.path.exists(path) else {}
+    store = cache_load(path, surface_ids=sids) if path else {}
     evs = [Evaluator(spec, store) for spec in specs]
 
     def save() -> None:

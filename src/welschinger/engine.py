@@ -52,17 +52,11 @@ but are different factors.  On the cubic the map is the identity and the
 key stays the raw coordinates.  `canonicalize=False` keys the memo by raw
 classes, the oracle the relabelling checks need.
 
-A persistent store (a small versioned text format, one record per line) is
-read on demand: a memo miss of the full route formats the key, with the
-function that also writes the store, and adopts a stored value into the
-memo.  Its keys are orbit representatives; a record of another member of
-an orbit, as a raw-keyed memo writes them, is valid but never read.  A
-run loads, checks and converts only the records of the surfaces it
-evaluates (cache_load's surface_ids); the file, its header and its record
-count are checked whole.  Its save reads the file again and writes the
-other surfaces' lines back byte for byte, so a concurrent writer of
-another surface loses its records only if it saves between that read and
-this save's rename.
+A persistent store (store.py) is read on demand: a memo miss of the full
+route formats the key, with the function that also writes the store, and
+adopts a stored value into the memo.  Its keys are orbit representatives;
+a record of another member of an orbit, as a raw-keyed memo writes them,
+is valid but never read.
 
 On the two-component cubic with the component twist a second route runs
 through the same recursion with restricted summands: l = 0 only, no pair
@@ -177,18 +171,16 @@ In exchange a repeated search costs one lookup instead of its nodes.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
-import os
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import CacheError, InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .picard import DivisorClass, candidate_factors, class_to_str, feasible
+from .store import Store
 from .surfaces import SurfaceSpec
 from .tangency import (
     GUARD,
@@ -203,8 +195,6 @@ from .tangency import (
     theta,
 )
 
-Store = Dict[str, int]
-
 # One summand of a recursion step, as _summands yields it: (kind, k, l,
 # alpha0, beta0, chosen factors, pair ids, coefficient, contribution).  A
 # split summand of one factor collection (records) lists the collection's
@@ -218,8 +208,6 @@ Summand = Tuple[
     str, Optional[int], int, TangencyVector, TangencyVector, tuple,
     Tuple[str, ...], int, int,
 ]
-
-CACHE_HEADER = "WELSCHINGER-CACHE v1"
 
 
 @dataclass(frozen=True)
@@ -1290,111 +1278,3 @@ def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:
     if not entries:
         return "0"
     return ",".join(f"{k}:{c}" for k, c in entries)
-
-
-# -- persistent store -----------------------------------------------------------
-
-
-# Records as Evaluator.dump writes them, one per line:
-# <surface id>|<class>|<alpha>|<beta>\t<value>, the class in either lattice's
-# syntax (d;m1,...,m6 or d1,d2,d3), a vector 0 or k:c,k:c,...  Every field
-# ends at a character its class excludes, so a match never backtracks far.
-# The pattern is compiled on first use (the re module caches it).
-_INT = r"-?[0-9]+"
-_VECTOR = r"(?:0|[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*)"
-_CLASS = rf"{_INT}(?:;{_INT}(?:,{_INT}){{5}}|,{_INT},{_INT})"
-# a newline not followed by a whole record: the start of the first bad line
-_BAD_RECORD = rf"\n(?![^|\t\n]+\|{_CLASS}\|{_VECTOR}\|{_VECTOR}\t{_INT}(?:\n|\Z))"
-
-
-def _records(path: str) -> List[str]:
-    """The record lines of a store file, after the checks that concern the
-    file as a whole: that it reads as UTF-8, its header and its record
-    count."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CacheError(f"cannot read cache file {path!r}: {exc}") from None
-    if not raw or raw[0] != CACHE_HEADER:
-        raise CacheError(f"unsupported cache header in {path!r}")
-    if not raw[-1].startswith("#count="):
-        raise CacheError(f"cache file {path!r} is truncated (missing record count)")
-    try:
-        count = int(raw[-1][len("#count="):])
-    except ValueError:
-        raise CacheError(f"cache file {path!r} has a malformed record count") from None
-    records = raw[1:-1]
-    if len(records) != count:
-        raise CacheError(
-            f"cache file {path!r} is truncated: {len(records)} records, "
-            f"trailer says {count}"
-        )
-    return records
-
-
-def _prefixes(surface_ids: Iterable[str]) -> Tuple[str, ...]:
-    # a surface id holds no "|", so the prefix names exactly its records
-    return tuple(f"{sid}|" for sid in surface_ids)
-
-
-def cache_save(
-    store: Store, path: str, *, surface_ids: Optional[Iterable[str]] = None
-) -> None:
-    """Write the store through a temporary file in the same directory, so a
-    failed or interrupted save leaves the old file as it was.
-
-    With surface_ids the store holds only those surfaces' records: the
-    file is read again, with cache_load's whole-file checks, and its lines
-    of every other surface are written back byte for byte.  The lines are
-    sorted, which for valid keys is the order of the keys (a tab sorts
-    below every key character), so the bytes are those of a whole-store
-    save."""
-    if surface_ids is None:
-        lines = [f"{key}\t{store[key]}" for key in sorted(store)]
-    else:
-        own = _prefixes(surface_ids)
-        old = _records(path) if os.path.exists(path) else []
-        lines = sorted([r for r in old if not r.startswith(own)]
-                       + [f"{key}\t{value}" for key, value in store.items()])
-    text = "\n".join([CACHE_HEADER, *lines, f"#count={len(lines)}"]) + "\n"
-    target = os.path.realpath(path)  # a symlinked store stays a link
-    tmp = f"{target}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError):
-            raise CacheError(f"cannot write cache file {path!r}: {exc}") from None
-        raise
-
-
-def cache_load(path: str, *, surface_ids: Optional[Iterable[str]] = None) -> Store:
-    """Read the records of the given surfaces, or of all without
-    surface_ids.  The file, its header and its record count are checked
-    whole, the records read one by one: a malformed one is refused, named
-    by its line in the file, and other surfaces' lines are not checked."""
-    records = lines = _records(path)
-    if surface_ids is not None:
-        own = _prefixes(surface_ids)
-        lines = [r for r in records if r.startswith(own)]
-    body = "\n".join(["", *lines])  # each record after a newline
-    bad = re.search(_BAD_RECORD, body)
-    if bad:
-        # the first equal line of the file is this one: an earlier copy
-        # would have been read, and refused, first
-        lineno = records.index(lines[body.count("\n", 0, bad.start())]) + 2
-        raise CacheError(f"malformed cache record at line {lineno}")
-    store: Store = {}
-    try:
-        for line in lines:
-            key, _, value = line.rpartition("\t")
-            store[key] = int(value)
-    except ValueError as exc:  # more digits than int() converts
-        raise CacheError(f"malformed cache value in {path!r}: {exc}") from None
-    return store

@@ -9,7 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from conftest import get_evaluator
 
-from welschinger.engine import Evaluator, cache_load, cache_save, make_key
+from welschinger.engine import Evaluator, make_key
+from welschinger.store import cache_load, cache_save
 from welschinger.invariants import (
     blowdown_scan,
     e_independence_scan,

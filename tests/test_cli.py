@@ -5,7 +5,7 @@ import os
 import pytest
 
 from welschinger import cli
-from welschinger.engine import CACHE_HEADER, cache_load
+from welschinger.store import CACHE_HEADER, cache_load
 
 
 def run(capsys, *argv):
@@ -243,6 +243,17 @@ def test_undecodable_cache_is_validation_error(capsys, tmp_path):
                          "--class", "-K", "--cache", str(path))
     assert (code, out) == (3, "")
     assert "cannot read cache file" in err
+
+
+def test_store_removed_after_an_existence_check_is_an_empty_store(capsys, tmp_path, monkeypatch):
+    # a store another process removes between a check and the open
+    path = str(tmp_path / "store.txt")
+    exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda p: p == path or exists(p))
+    code, out, _ = run(capsys, "compute", "--surface", "B1", "--twist", "F",
+                       "--class", "-2K", "--cache", path)
+    assert (code, out) == (0, "160\n")
+    assert cache_load(path)
 
 
 def test_cache_info_missing_file_is_validation_error(capsys, tmp_path):

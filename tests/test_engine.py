@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -12,18 +13,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from welschinger import engine
-from welschinger.engine import (
-    Evaluator,
-    cache_load,
-    cache_save,
-    make_key,
-)
+from welschinger.engine import Evaluator, make_key
 from welschinger import cli
 from welschinger.errors import CacheError, ValidationError
 from welschinger.invariants import positivity_scan, top_key, welschinger
 from welschinger.picard import (
     P2_LATTICE, DivisorClass, candidate_factors, feasible, nef_classes_up_to,
 )
+from welschinger.store import CACHE_HEADER, cache_load, cache_save
 from welschinger.surfaces import make_surface
 from welschinger.tangency import (
     TangencyVector, enumerate_le, iweight, norm, odd_partitions, theta,
@@ -1472,6 +1469,171 @@ def test_interleaved_writers_of_two_surfaces_keep_both(tmp_path):
         ev.dump(store)
         cache_save(store, str(path), surface_ids=[spec.surface_id])
     assert cache_load(str(path)) == {**whole, **a, **b}
+
+
+# The store loader before it read one range of the sorted file: every line
+# split out of the whole file, the own lines filtered by prefix, one search
+# for the first bad line.  The oracle of cache_load and cache_save's re-read.
+_ORACLE_BAD_RECORD = (
+    r"\n(?![^|\t\n]+\|-?[0-9]+(?:;-?[0-9]+(?:,-?[0-9]+){5}|,-?[0-9]+,-?[0-9]+)"
+    r"\|(?:0|[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*)\|(?:0|[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*)"
+    r"\t-?[0-9]+(?:\n|\Z))"
+)
+
+
+def _oracle_records(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CacheError(f"cannot read cache file {path!r}: {exc}") from None
+    if not raw or raw[0] != CACHE_HEADER:
+        raise CacheError(f"unsupported cache header in {path!r}")
+    if not raw[-1].startswith("#count="):
+        raise CacheError(f"cache file {path!r} is truncated (missing record count)")
+    try:
+        count = int(raw[-1][len("#count="):])
+    except ValueError:
+        raise CacheError(f"cache file {path!r} has a malformed record count") from None
+    records = raw[1:-1]
+    if len(records) != count:
+        raise CacheError(
+            f"cache file {path!r} is truncated: {len(records)} records, "
+            f"trailer says {count}"
+        )
+    return records
+
+
+def _oracle_load(path, surface_ids=None):
+    records = lines = _oracle_records(path)
+    if surface_ids is not None:
+        own = tuple(f"{sid}|" for sid in surface_ids)
+        lines = [r for r in records if r.startswith(own)]
+    body = "\n".join(["", *lines])
+    bad = re.search(_ORACLE_BAD_RECORD, body)
+    if bad:
+        lineno = records.index(lines[body.count("\n", 0, bad.start())]) + 2
+        raise CacheError(f"malformed cache record at line {lineno}")
+    store = {}
+    try:
+        for line in lines:
+            key, _, value = line.rpartition("\t")
+            store[key] = int(value)
+    except ValueError as exc:
+        raise CacheError(f"malformed cache value in {path!r}: {exc}") from None
+    return store
+
+
+def _oracle_save_text(store, path, surface_ids):
+    own = tuple(f"{sid}|" for sid in surface_ids)
+    lines = sorted([r for r in _oracle_records(path) if not r.startswith(own)]
+                   + [f"{key}\t{value}" for key, value in store.items()])
+    return "\n".join([CACHE_HEADER, *lines, f"#count={len(lines)}"]) + "\n"
+
+
+# an id absent from the file, and one that is a string prefix of a stored id
+_EXTRA_IDS = ("P2[0,3]/t0/bd-/E1;1,1,0,0,0,0", "B1/tF/bd-/E1,0")
+
+
+def _shuffled(text, rng):
+    header, *records, trailer = text.split("\n")[:-1]
+    return "\n".join([header, *rng.sample(records, len(records)), trailer]) + "\n"
+
+
+def _store_mutations(text, rng):
+    """The store file text itself and the texts it becomes when a record is
+    mangled or repeated, a line break is another one, or the header or
+    trailer is cut, as (name, text)."""
+    header, *records, trailer = text.split("\n")[:-1]
+
+    def file(lines, end=trailer):
+        return "\n".join([header, *lines, end]) + "\n"
+
+    out = [("as is", text), ("crlf", text.replace("\n", "\r\n"))]
+    for mangle in (lambda r: r.replace("\t", " "), lambda r: "|" + r,
+                   lambda r: r.replace("|", "|x", 1),
+                   lambda r: r.split("\t")[0] + "\t" + "9" * 5000):
+        bad = list(records)
+        i = rng.randrange(len(bad))
+        bad[i] = mangle(bad[i])
+        out.append((f"line {i + 2} mangled", file(bad)))
+    i = rng.randrange(len(records))
+    again = list(records)
+    again.insert(rng.randrange(len(records)), records[i].split("\t")[0] + "\t12345")
+    out.append((f"record {i + 2} again", file(again)))
+    lines = text.split("\n")
+    for brk in ("\x1c", "\u2028", "\v", "\x85"):
+        for i in (1, rng.randrange(2, len(records) + 2)):
+            out.append((f"newline {i} as {brk!r}",
+                        "\n".join(lines[:i]) + brk + "\n".join(lines[i:])))
+        i = rng.randrange(len(records))
+        at = rng.randrange(1, len(records[i]))
+        inside = list(records)
+        inside[i] = inside[i][:at] + brk + inside[i][at:]
+        out.append((f"{brk!r} inside line {i + 2}", file(inside)))
+    return out + [
+        ("header only", header + "\n"),
+        ("no trailer", "\n".join([header, *records]) + "\n"),
+        ("trailer off by one", file(records, f"#count={len(records) + 1}")),
+        ("trailer not a number", file(records, "#count=many")),
+        ("no records", file([], "#count=0")),
+        ("no final newline", text[:-1]),
+        ("blank line at the end", text + "\n"),
+    ]
+
+
+def _outcome(call):
+    try:
+        out = call()
+    except CacheError as exc:
+        return f"CacheError: {exc}"
+    return list(out.items()) if isinstance(out, dict) else out  # in insertion order
+
+
+def _check_against_oracle(path, name, text, sids, saves):
+    path.write_bytes(text.encode("utf-8"))
+    ids = [*sids, *_EXTRA_IDS]
+    subsets = [None] + [c for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
+    for chosen in subsets:
+        want = _outcome(lambda: _oracle_load(str(path), chosen))
+        assert _outcome(lambda: cache_load(str(path), surface_ids=chosen)) == want, (name, chosen)
+        if not saves or chosen is None or len(chosen) > 2 or isinstance(want, str):
+            continue
+        store = dict(want, **{f"{sid}|1,0,0|0|0": 1 for sid in chosen})
+        want = _outcome(lambda: _oracle_save_text(store, str(path), chosen))
+
+        def save():
+            cache_save(store, str(path), surface_ids=chosen)
+            return path.read_text(encoding="utf-8")
+
+        assert _outcome(save) == want, (name, chosen)
+        path.write_bytes(text.encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def four_surface_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("store") / "base.txt"
+    specs, _ = _four_surface_store(path)
+    return path.read_text(encoding="utf-8"), [spec.surface_id for spec in specs]
+
+
+def test_section_load_and_save_match_the_whole_file_loader(four_surface_text, tmp_path):
+    text, sids = four_surface_text
+    rng = random.Random(0)
+    for base in (text, _shuffled(text, rng)):
+        for name, mutated in _store_mutations(base, rng):
+            _check_against_oracle(tmp_path / "store.txt", name, mutated, sids, saves=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_section_load_matches_the_whole_file_loader_on_random_files(
+    four_surface_text, tmp_path_factory, rng
+):
+    text, sids = four_surface_text
+    name, mutated = rng.choice(_store_mutations(_shuffled(text, rng), rng))
+    path = tmp_path_factory.getbasetemp() / "random-store.txt"
+    _check_against_oracle(path, name, mutated, sids, saves=False)
 
 
 def test_save_through_symlink_replaces_its_target(tmp_path):
