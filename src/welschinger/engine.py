@@ -120,17 +120,15 @@ A block's picks are tested the same way: whether a pick fits the node's n
 budget and alpha budget, and whether its factor's value is nonzero,
 depends on the block and those two budgets only.  So each block keeps a
 live-pick memo (_live_picks): per (n budget, alpha budget packed) the
-picks that pass, in pick order, and a node walks its entry from the
-node's pick index on (bisect), testing only the beta fit.  The n budget
-is clamped to the block's largest n_i, and a node whose n budget is
-below the block's least n_i skips the block, so budgets that admit the
-same picks share an entry.  A one-pick block is tested inline: its entry
-could only be its pick or nothing.  Building an entry reads only values
-the search reads anyway, in another order (the proof is at _collections).
-Blocks are kept as the same objects across table switches and growth, so
-their entries are too; each route builds its own blocks and so its own
-entries.  An entry is a tuple, blk.picks itself when every pick is live,
-else the live picks' indices followed by the picks.
+tuple of the indices of the picks that pass, ascending, and a node walks
+its entry from the node's pick index on (bisect), testing only the beta
+fit.  The n budget is clamped to the block's largest n_i, and a node
+whose n budget is below the block's least n_i skips the block, so
+budgets that admit the same picks share an entry.  Building an entry
+reads only values the search reads anyway, in another order (the proof
+is at _collections).  Blocks are kept as the same objects across table
+switches and growth, so their entries are too; each route builds its own
+blocks and so its own entries.
 
 The search holds its remaining alpha budget and beta target packed
 (tangency.pack): one integer per vector, an 8-bit field per odd order
@@ -185,6 +183,7 @@ from .surfaces import SurfaceSpec
 from .tangency import (
     GUARD,
     TangencyVector,
+    entries_str,
     enumerate_le,
     is_odd_support,
     iweight,
@@ -200,10 +199,11 @@ from .tangency import (
 # split summand of one factor collection (records) lists the collection's
 # picks, the blocks' own (option, gamma row, restart index) tuples (see
 # _Block), in pick order; a factor's value is the route's memo entry under
-# its option's memo key.  A folded split summand stands for every
-# collection of one search: it lists no factors, its coefficient is the
-# state's part 2^|beta0| C(n-1; ns, beta0) C(alpha; alpha0) (l + 1), and
-# its contribution carries the search's weight S (see _split_terms).
+# its option's memo key.  Its coefficient is the state's part 2^|beta0|
+# C(n-1; ns, beta0) C(alpha; alpha0) (l + 1) times the collection's
+# _weight.  A folded split summand stands for every collection of one
+# search: it lists no factors, its coefficient is the state's part, and its
+# contribution carries the search's weight S (see _split_terms).
 Summand = Tuple[
     str, Optional[int], int, TangencyVector, TangencyVector, tuple,
     Tuple[str, ...], int, int,
@@ -313,8 +313,8 @@ class _Block:
     n_min: int  # the least and the largest n_i of the picks
     n_max: int
     # live-pick memo: a * (n_max + 1) + n for the n budget n clamped to
-    # n_max and the packed alpha budget a -> Evaluator._live_picks(n, a);
-    # see Evaluator._collections
+    # n_max and the packed alpha budget a -> the indices into picks that
+    # Evaluator._live_picks(n, a) keeps; see Evaluator._collections
     live: Dict[int, tuple] = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -412,24 +412,45 @@ def _multinomial_exact(total: int, parts: List[int], context: str) -> int:
     return result
 
 
+def _weight(chosen: tuple, ns: int, a_rest: TangencyVector) -> int:
+    """The search's part of the coefficient of the factor collection chosen
+    (see Evaluator._split_terms): C(ns; n_i) multinomial(a_rest; alpha_i) /
+    sym * prod bweight, for the n budget ns and the alpha budget a_rest.
+    The division by the stabilizer order sym is exact, and checked."""
+    weight = _multinomial_exact(
+        ns, [opt.n_i for opt, _, _ in chosen], "sum n_i = n-1-|beta0|"
+    )
+    parts = [opt.alpha for opt, _, _ in chosen if opt.palpha]
+    if parts:
+        weight *= multinomial(a_rest, parts)
+    sym = _symmetry_factor(chosen)
+    if sym > 1:
+        weight, rem = divmod(weight, sym)
+        if rem:
+            raise InternalCheckError("symmetrized weight is not an integer")
+    for _, row, _ in chosen:
+        weight *= row[3]  # bweight, beta_j for the marked branch gamma = theta_j
+    return weight
+
+
 class Evaluator:
     """Shared-store evaluator bound to one surface specification.
 
-    Thread-safety: every memo (values, searches, split targets, split
-    lists, the tables' fit memos, the blocks' live-pick memos) changes only
-    by idempotent dictionary inserts under canonical value-determining
-    keys, so concurrent use converges to identical contents: two threads
-    that make the same search at once store equal ints S (see
-    _split_terms), two that build one split-target or split-list entry
-    store equal tuples, and two that build one block's live entry store
-    equal tuples of that block's own pick objects.  A route's factor
-    table is never mutated in place: a switch to the whole cone or a
-    growth replaces the route's (budget, target, blocks, fit memo), the
-    memo new and empty, in one assignment, so a reader holds the old table
-    or the new one, each complete for its budget and target.  A search
-    keeps the blocks and fit memo it was handed as one pair, so a nested
-    evaluation that replaces the table cannot make its indices point into
-    another table.
+    Thread-safety: every memo (values, searches, split targets, split lists,
+    the tables' fit memos, the blocks' live-pick memos and the table of
+    their distinct entries) changes only by idempotent dictionary inserts
+    under canonical value-determining keys, so concurrent use converges to
+    identical contents: two threads that make the same search at once store
+    equal ints S (see _split_terms), two that build one split-target or
+    split-list entry store equal tuples, and two that build one block's live
+    entry store equal tuples of ints, indices into that block's picks.  A
+    route's factor table is never mutated in place: a switch to the whole
+    cone or a growth replaces the route's (budget, target, blocks, fit
+    memo), the memo new and empty, in one assignment, so a reader holds the
+    old table or the new one, each complete for its budget and target.  A
+    search keeps the blocks and fit memo it was handed as one pair, so a
+    nested evaluation that replaces the table cannot make its indices point
+    into another table.
     """
 
     def __init__(
@@ -463,6 +484,8 @@ class Evaluator:
         self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
         self._zero_coords = zero.coords
         self._indices: Tuple[int, ...] = ()  # shared by the fit memos, see _fitting
+        # one tuple object per distinct live-pick entry, see _live_picks
+        self._live_entries: Dict[tuple, tuple] = {}
         # tangency vector v -> (v0, |v0|, I(v0), pack(v) - pack(v0)) for each
         # v0 <= v in enumerate_le order: the alpha0 and beta0 lists of
         # _split_terms
@@ -572,7 +595,7 @@ class Evaluator:
         """The store's string form of a memo key (coords, alpha, beta)."""
         coords, a_key, b_key = key
         d_str = class_to_str(self.spec.lattice, DivisorClass(coords))
-        a_str, b_str = _entries_str(a_key), _entries_str(b_key)
+        a_str, b_str = entries_str(a_key), entries_str(b_key)
         return f"{self.spec.surface_id}|{d_str}|{a_str}|{b_str}"
 
     # -- main recursion ------------------------------------------------------------
@@ -641,10 +664,9 @@ class Evaluator:
         (alpha0, beta0, l, pair subset).  The route admits the targets of
         class d once per (c, pair subset), for every state of that class
         (_split_targets), and each (alpha0, beta0, l) tests only its beta balance
-        against them.  With records, a summand per factor collection
-        (_make_term), each from a fresh search; else one summand per
-        (alpha0, beta0, l, pair subset) with a nonzero weight S, as
-        follows.
+        against them.  With records, a summand per factor collection, each
+        from a fresh search; else one summand per (alpha0, beta0, l, pair
+        subset) with a nonzero weight S, as follows.
 
         A collection's coefficient factors into a part of the state and a
         part of the search.  With ns = n - 1 - |beta0| the search's n
@@ -655,19 +677,20 @@ class Evaluator:
             multinomial(alpha; alpha0, alpha_i)
                 = C(alpha; alpha0) multinomial(a_rest; alpha_i).
 
-        So the summand's contribution is 2^|beta0| C(n-1; ns, beta0)
-        C(alpha; alpha0) (l + 1) * pair weight * S, where S = the sum over
-        the search's collections of C(ns; n_i) multinomial(a_rest;
-        alpha_i) / sym * prod bweight * prod value (_fold).  The division
-        by the stabilizer order sym is exact: a rigid option (n_i = 0,
-        alpha_i = 0) appears at most once, so each group of identical
-        factors has n_i >= 1 or alpha_i != 0, and permuting its factors
-        permutes their nonempty sets of labelled points.  That action on
-        the assignments of the ns moving and the a_rest fixed labelled
-        points to the factors, which C(ns; n_i) multinomial(a_rest;
-        alpha_i) counts, is free, so sym divides the count; _fold divides
-        before it multiplies by the weights and values, and still refuses a
-        remainder.
+        So a collection's coefficient is the state's part 2^|beta0|
+        C(n-1; ns, beta0) C(alpha; alpha0) (l + 1) times the search's part
+        w = C(ns; n_i) multinomial(a_rest; alpha_i) / sym * prod bweight
+        (_weight), and the summand's contribution is the state's part *
+        pair weight * S, where S = the sum over the search's collections
+        of w * prod value (_fold).  The division by the stabilizer order sym
+        is exact: a rigid option (n_i = 0, alpha_i = 0) appears at most
+        once, so each group of identical factors has n_i >= 1 or alpha_i !=
+        0, and permuting its factors permutes their nonempty sets of
+        labelled points.  That action on the assignments of the ns moving
+        and the a_rest fixed labelled points to the factors, which C(ns;
+        n_i) multinomial(a_rest; alpha_i) counts, is free, so sym divides
+        the count; _weight divides before it multiplies by the weights, and
+        still refuses a remainder.
 
         S depends on the search only, so it is computed once per route:
         the search memo keeps it under (T, alpha budget, beta target), for
@@ -743,28 +766,27 @@ class Evaluator:
                         if te and ibm >= te:
                             continue
                         if records:
-                            for chosen in self._collections(
+                            found = self._collections(
                                 route, t, te, ak, a_budget, bm_target, ibm,
                                 ns_target, table,
-                            ):
-                                yield self._make_term(
-                                    route, n1, l, alpha, alpha0, beta0, nb0, chosen,
-                                    pair_ids, p_weight,
-                                )
-                            continue
-                        # T and the beta target fix the n budget ns (the
-                        # proof is in the docstring), so the key leaves it out
-                        key = (t, a_budget, bm_target)
-                        s = searches.get(key)
-                        if s is None:
-                            s = searches[key] = self._fold(
-                                route, self._collections(
-                                    route, t, te, ak, a_budget, bm_target, ibm,
-                                    ns_target, table,
-                                ), ns_target, alpha - alpha0,
                             )
-                        if not s:
-                            continue
+                            if not found:
+                                continue
+                        else:
+                            # T and the beta target fix the n budget ns (the
+                            # proof is in the docstring), so the key leaves
+                            # it out
+                            key = (t, a_budget, bm_target)
+                            s = searches.get(key)
+                            if s is None:
+                                s = searches[key] = self._fold(
+                                    route, self._collections(
+                                        route, t, te, ak, a_budget, bm_target,
+                                        ibm, ns_target, table,
+                                    ), ns_target, alpha - alpha0,
+                                )
+                            if not s:
+                                continue
                         if not coeff:
                             coeff = 1 << nb0
                             if alpha0:
@@ -774,10 +796,23 @@ class Evaluator:
                                 "n - 1 = ns + |beta0|",
                             )
                         c_l = coeff * (l + 1)  # the weight of l pencil components
-                        yield (
-                            "split", None, l, alpha0, beta0, (), pair_ids, c_l,
-                            c_l * p_weight * s,
-                        )
+                        if not records:
+                            yield (
+                                "split", None, l, alpha0, beta0, (), pair_ids, c_l,
+                                c_l * p_weight * s,
+                            )
+                            continue
+                        a_rest = alpha - alpha0
+                        for chosen in found:
+                            c = c_l * _weight(chosen, ns_target, a_rest)
+                            value = c * p_weight
+                            # the search read every factor's value
+                            for opt, _, _ in chosen:
+                                value *= route.memo[opt.memo_key]
+                            yield (
+                                "split", None, l, alpha0, beta0, chosen, pair_ids, c,
+                                value,
+                            )
 
     def _split_targets(
         self, route: _Route, d: DivisorClass, d_minus_e: Tuple[int, ...], budget: int
@@ -835,26 +870,15 @@ class Evaluator:
         a_rest: TangencyVector,
     ) -> int:
         """The weight S of one search (see _split_terms): the sum over its
-        collections of C(ns; n_i) multinomial(a_rest; alpha_i) / sym * prod
-        bweight * prod value, for the n budget ns and the alpha budget
-        a_rest."""
+        collections of _weight * prod value, for the n budget ns and the
+        alpha budget a_rest."""
         memo = route.memo
         total = 0
         for chosen in collections:
-            weight = _multinomial_exact(
-                ns, [opt.n_i for opt, _, _ in chosen], "sum n_i = n-1-|beta0|"
-            )
-            parts = [opt.alpha for opt, _, _ in chosen if opt.palpha]
-            if parts:
-                weight *= multinomial(a_rest, parts)
-            sym = _symmetry_factor(chosen)
-            if sym > 1:
-                weight, rem = divmod(weight, sym)
-                if rem:
-                    raise InternalCheckError("symmetrized weight is not an integer")
+            weight = _weight(chosen, ns, a_rest)
             # the search read every factor's value, so the memo holds it
-            for opt, row, _ in chosen:
-                weight *= row[3] * memo[opt.memo_key]
+            for opt, _, _ in chosen:
+                weight *= memo[opt.memo_key]
             total += weight
         return total
 
@@ -916,11 +940,12 @@ class Evaluator:
         index on that fits the node's n and alpha budgets, before testing
         the beta fit, and descends into the picks whose value is nonzero
         and whose beta fits.  The live-pick memo (_live_picks) keeps the
-        picks of the block that pass the first three tests, under the
-        node's n budget and alpha budget, and an entry is built from the
-        block's first pick on; the search walks it from the node's pick
-        index p0 on.  Such a build reads no value the search without the
-        memo does not read:
+        indices of the picks of the block that pass the first three tests,
+        under the node's n budget and alpha budget, for every block, one
+        pick or many, and an entry is built from the block's first pick on;
+        the search walks it from the first index >= the node's pick index
+        p0.  Such a build reads no value the search without the memo does
+        not read:
         * a pick at or after p0 that fits the budgets is read there anyway;
         * a pick before p0 occurs only when the node is in the block its
           parent descended from (bi == b0).  Follow the chain of ancestors
@@ -939,8 +964,6 @@ class Evaluator:
         """
         blocks, fits = table
         zero_t = self._zero_coords
-        memo = route.memo
-        value_of = self._value
         live_picks = self._live_picks
         guard = GUARD
         complete = []
@@ -959,8 +982,8 @@ class Evaluator:
             fit = fits[t_rem]
             # the block indices, then their remainders
             n_fit = len(fit) >> 1
-            # x <= a_rem iff (a_guard - x) & guard == guard, for packed x
-            a_guard, bm_guard = a_rem | guard, bm_rem | guard
+            # x <= bm_rem iff (bm_guard - x) & guard == guard, for packed x
+            bm_guard = bm_rem | guard
             for i in range(bisect_left(fit, b0, 0, n_fit), n_fit):
                 bi = fit[i]
                 blk = blocks[bi]
@@ -970,39 +993,21 @@ class Evaluator:
                 # nonzero value, from the restart index p0 in the block b0.
                 # A value is read before the branch is tested, so a state
                 # is evaluated whenever its option fits n and alpha.
+                n_max = blk.n_max
+                n = ns_rem if ns_rem < n_max else n_max
+                key = a_rem * (n_max + 1) + n  # (n, a_rem), one int
+                live = blk.live.get(key)
+                if live is None:
+                    live = blk.live[key] = live_picks(route, blk, n, a_rem)
+                if bi == b0 and p0:
+                    live = live[bisect_left(live, p0):]
                 picks = blk.picks
-                if len(picks) == 1:
-                    # tested inline: its entry would be the pick or nothing
-                    if bi == b0 and p0:
-                        continue
-                    opt = picks[0][0]
-                    p_a = opt.palpha
-                    if p_a and (a_guard - p_a) & guard != guard:
-                        continue
-                    value = memo.get(opt.memo_key)
-                    if value is None:
-                        value = value_of(route, opt.cls, opt.alpha, opt.beta)
-                    if value == 0:
-                        continue
-                    live = picks
-                else:
-                    n_max = blk.n_max
-                    n = ns_rem if ns_rem < n_max else n_max
-                    key = a_rem * (n_max + 1) + n  # (n, a_rem), one int
-                    live = blk.live.get(key)
-                    if live is None:
-                        live = blk.live[key] = live_picks(route, blk, n, a_rem)
-                    if live is not picks:  # the pick indices, then the picks
-                        n_live = len(live) >> 1
-                        start = bisect_left(live, p0, 0, n_live) if bi == b0 else 0
-                        live = live[n_live + start:]
-                    elif bi == b0 and p0:
-                        live = picks[p0:]
                 # A pick keeps the beta balance of a nonzero remainder,
                 # ibm_d >= ibm_lo; the zero remainder must use up beta.
                 new_te = te_rem - blk.e_deg
                 ibm_lo = ibm_rem - new_te + 1 if new_te else ibm_rem
-                for pick in live:
+                for j in live:
+                    pick = picks[j]
                     opt, row, p_next = pick
                     _, p_bm, ibm_d, _ = row
                     if (
@@ -1025,45 +1030,6 @@ class Evaluator:
         # table it closes over alive until the cyclic collector runs
         del dfs
         return complete
-
-    def _make_term(
-        self,
-        route: _Route,
-        n1: int,
-        l: int,
-        alpha: TangencyVector,
-        alpha0: TangencyVector,
-        beta0: TangencyVector,
-        nb0: int,
-        chosen: Tuple[Tuple[_Option, tuple, int], ...],
-        pair_ids: Tuple[str, ...],
-        pair_weight: int,
-    ) -> Summand:
-        n_parts = [opt.n_i for opt, _, _ in chosen]
-        coeff = (1 << nb0) * _multinomial_exact(
-            n1, n_parts + [cnt for _, cnt in beta0], "sum n_i = n-1-|beta0|"
-        )
-        coeff *= l + 1  # the weight of l pencil components
-        coeff *= multinomial(alpha, [alpha0] + [opt.alpha for opt, _, _ in chosen])
-        # The sum runs over unordered collections: slot permutations of
-        # repeated identical decorated factors describe the same splitting,
-        # so the ordered point-distribution count is divided by the
-        # automorphisms.  (chosen is canonically sorted, repeats adjacent.)
-        sym = _symmetry_factor(chosen)
-        if sym > 1:
-            coeff, rem = divmod(coeff, sym)
-            if rem:
-                raise InternalCheckError(
-                    "symmetrized coefficient is not an integer"
-                )
-        # the search read every factor's value, so the memo holds it
-        memo = route.memo
-        value = coeff * pair_weight
-        for opt, row, _ in chosen:
-            bweight = row[3]
-            coeff *= bweight
-            value *= bweight * memo[opt.memo_key]
-        return ("split", None, l, alpha0, beta0, chosen, pair_ids, coeff, value)
 
     # -- factor enumeration ----------------------------------------------------------
 
@@ -1247,17 +1213,15 @@ class Evaluator:
 
     def _live_picks(self, route: _Route, blk: _Block, n: int, a: int) -> tuple:
         """The live-pick memo's entry for the block blk under the n budget n
-        <= blk.n_max and the packed alpha budget a: the picks with n_i <= n,
-        alpha_i <= a and a nonzero value, in pick order.  It is blk.picks
-        itself when every pick is live, else one flat tuple of the live
-        picks' indices, ascending, followed by the picks.  Each value is
+        <= blk.n_max and the packed alpha budget a: the indices, ascending,
+        of the picks with n_i <= n, alpha_i <= a and a nonzero value, one
+        tuple object per distinct entry of the evaluator.  Each value is
         read as the search reads it, from the memo or by evaluating the
         factor's state."""
         a_guard = a | GUARD
         memo = route.memo
-        index, live = [], []
-        for pi, pick in enumerate(blk.picks):
-            opt = pick[0]
+        live = []
+        for pi, (opt, _, _) in enumerate(blk.picks):
             if opt.n_i > n:
                 continue
             p_a = opt.palpha
@@ -1267,14 +1231,6 @@ class Evaluator:
             if value is None:
                 value = self._value(route, opt.cls, opt.alpha, opt.beta)
             if value:
-                index.append(pi)
-                live.append(pick)
-        if len(live) == len(blk.picks):
-            return blk.picks
-        return tuple(index + live)
-
-
-def _entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:
-    if not entries:
-        return "0"
-    return ",".join(f"{k}:{c}" for k, c in entries)
+                live.append(pi)
+        live = tuple(live)
+        return self._live_entries.setdefault(live, live)

@@ -94,9 +94,7 @@ class TangencyVector:
         return f"TangencyVector({dict(self._entries)!r})"
 
     def __str__(self) -> str:
-        if not self._entries:
-            return "0"
-        return ",".join(f"{k}:{c}" for k, c in self._entries)
+        return entries_str(self._entries)
 
     def __getitem__(self, k: int) -> int:
         for kk, c in self._entries:
@@ -148,6 +146,14 @@ class TangencyVector:
             if c > other[k]:
                 return False
         return True
+
+
+def entries_str(entries: Tuple[Tuple[int, int], ...]) -> str:
+    """The canonical text of the vector whose key() is entries, which
+    TangencyVector.parse reads back."""
+    if not entries:
+        return "0"
+    return ",".join(f"{k}:{c}" for k, c in entries)
 
 
 def _from_sorted(entries: Tuple[Tuple[int, int], ...]) -> TangencyVector:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from welschinger import engine
-from welschinger.engine import Evaluator, make_key
+from welschinger.engine import Evaluator, FactorRecord, TermRecord, make_key
 from welschinger import cli
 from welschinger.errors import CacheError, ValidationError
 from welschinger.invariants import positivity_scan, top_key, welschinger
@@ -463,11 +463,30 @@ class _LinearScanEvaluator(Evaluator):
                             route, (t - DivisorClass(p_coords)).coords,
                             alpha - alpha0, beta - beta0, n - 1 - nb0, blocks,
                         ):
-                            yield self._make_term(
-                                route, n - 1, l, alpha, alpha0, beta0, nb0, chosen,
+                            yield self._term(
+                                route, d, alpha, beta, l, alpha0, beta0, chosen,
                                 pair_ids, p_weight,
                             )
                     l += 1
+
+    def _term(self, route, d, alpha, beta, l, alpha0, beta0, chosen, pair_ids,
+              p_weight):
+        """The split summand of one collection, its coefficient recomputed in
+        Fractions from the collection and the state alone
+        (_coefficient_from_record), never by the engine's code."""
+        factors = tuple(
+            FactorRecord(
+                opt.cls, opt.alpha, opt.beta, row[0], opt.n_i,
+                self._value(route, opt.cls, opt.alpha, opt.beta),
+            )
+            for opt, row, _ in chosen
+        )
+        record = TermRecord("split", None, l, alpha0, beta0, factors, pair_ids, 0, 0)
+        coeff, _ = _coefficient_from_record(self.spec, d, alpha, beta, record)
+        assert coeff.denominator == 1, (d, alpha, beta, record)
+        coeff = coeff.numerator
+        contribution = coeff * p_weight * math.prod(f.value for f in factors)
+        return ("split", None, l, alpha0, beta0, chosen, pair_ids, coeff, contribution)
 
     def _search(self, route, t0, alpha_budget, bm_target, ns_target, blocks):
         spec = self.spec
@@ -701,6 +720,23 @@ def test_engine_evaluates_the_oracles_states_on_the_cubic():
             assert len(got) == states
 
 
+@pytest.mark.parametrize(
+    "surface, text, states, value",
+    [(("P2", 6, 0, "0"), "-3K", 355, 1766080),
+     (("B1", 0, 0, "F"), "-5K", 936, 435194068992)],
+    ids=["P2-6-0-3K", "B1-F-5K"],
+)
+def test_cold_state_counts_and_values(surface, text, states, value):
+    # A cold evaluation evaluates exactly the states whose values its
+    # searches read: a change in which factor values the search reads moves
+    # the count even where the value stays.
+    model, a, b, twist = surface
+    spec = make_surface(model, a, b, twist=twist)
+    ev = Evaluator(spec)
+    assert ev.eval(top_key(spec, spec.parse_class(text))) == value
+    assert ev.cache_stats()["entries"] == states
+
+
 _CONICS = [-P2_LATTICE.canonical - line for line in P2_LATTICE.lines]
 
 
@@ -883,19 +919,11 @@ def _check_live_memo(route):
     the plain filter, and the number of entries checked."""
     checked = 0
     for blk in route.table[2]:
-        if len(blk.picks) == 1:
-            assert not blk.live  # a one-pick block is tested inline
         for key, entry in blk.live.items():
             a, n = divmod(key, blk.n_max + 1)  # n is clamped to n_max
             assert n >= blk.n_min
-            want = _live_indices(blk, n, a, route.memo)
-            if entry is blk.picks:
-                assert want == list(range(len(blk.picks))), (blk.coords, n, a)
-            else:
-                half = len(entry) // 2
-                assert list(entry[:half]) == want, (blk.coords, n, a)
-                assert len(want) < len(blk.picks)  # else blk.picks itself
-                assert all(blk.picks[i] is p for i, p in zip(want, entry[half:]))
+            want = tuple(_live_indices(blk, n, a, route.memo))
+            assert entry == want, (blk.coords, n, a)
             checked += 1
     return checked
 
@@ -914,6 +942,8 @@ def test_live_memo_matches_plain_filter():
             if model == "B1":
                 ev.eval_cubic_fast(key)
         assert _check_live_memo(ev._full) > 0
+        # one-pick blocks go through the memo like every other block
+        assert any(len(b.picks) == 1 and b.live for b in ev._full.table[2])
         if model == "B1":
             assert _check_live_memo(ev._reduced) > 0
 
