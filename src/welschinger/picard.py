@@ -298,10 +298,13 @@ def nef_classes_up_to(
     max_antik: int,
     target: Optional[Tuple[int, ...]] = None,
     zero_slots: Tuple[int, ...] = (),
+    e_slots: Tuple[int, ...] = (),
 ) -> Tuple[DivisorClass, ...]:
     """All conjugation-invariant nef classes D with 1 <= -K.D <= max_antik;
     with a `target` t only those with t - D feasible (see feasible), and
-    on the rank-7 model only those with m_j = 0 for each j in `zero_slots`.
+    on the rank-7 model only those with m_j = 0 for each j in `zero_slots`
+    and, given `e_slots`, only those meeting E = L - sum_{j in e_slots} E_j
+    positively.
 
     On the rank-7 model a nef class dL - sum m_i E_i satisfies
     0 <= m_i, m_i + m_j <= d and sum m_i <= 12d/5 (average the six conic
@@ -314,12 +317,25 @@ def nef_classes_up_to(
     the coordinate half of feasible(t - D), and its conics L - E_i give
     m_i the floor d - t_0 - t_i, as (L - E_i).(t - D) = t_0 - d + t_i +
     m_i; a zero slot caps m_j at 0, and a conjugate pair takes the
-    smaller cap and the larger floor of its two slots.  Every later slot
-    is at most d - max m and its own cap, so a branch that cannot reach
-    the lower end of S even with all of them there holds no class of the
-    window and is cut.  A leaf is nef exactly when the six conic
-    inequalities hold, 2d >= S - min m; a kept leaf then passes the
-    target's conic half, and only then becomes a class.
+    smaller cap and the larger floor of its two slots.  E.D = d - sum of
+    m_j over `e_slots`, so E.D >= 1 caps the orbit holding the last of
+    them: its slots in `e_slots` share d - 1 less the earlier ones.
+
+    The branch cut.  Every later slot is at most d - max m and its own
+    cap, so the largest total a branch can still reach is its total so
+    far plus room_after at room d - max m.  The remainder r = t - D of a
+    feasible leaf meets each conic 3L - 2E_i - others non-negatively:
+    -K.r >= m_i(r) = M_i with M_i = -t_i - m_i.  As -K.r = -K.t - 3d + S,
+    that reads S >= 3d - (-K.t) + M_i, a lower end of S for each slot
+    already assigned; -K.t is the target's own degree, which may differ
+    from max_antik.  So a branch whose reachable total stays below the
+    window's lower end, or with a target below 3d + K.t + max M_i over
+    its assigned slots, holds no kept class and is cut.  Only the last
+    orbit assigns no room, so both ends hold exactly at a leaf.  A leaf
+    is nef exactly when the six conic inequalities hold, 2d >= S - min m;
+    a kept leaf then passes the rest of feasible(t - D) (its 2L - four
+    E_k conics), and only then becomes a class.
+
     On the rank-3 model the nef classes are the triangles listed directly,
     in coordinate order, and a target caps each d_i at t_i, which is all of
     feasible there.
@@ -342,36 +358,49 @@ def nef_classes_up_to(
     deg_top = (5 * max_antik) // 3
     slot_caps = [deg_top] * 6
     floors = [deg_top] * len(orbits)  # an orbit's value is >= d - floors[k]
+    # the conic lower end of S is 3d + marks[k] - v after orbit k takes v
+    marks = [None] * len(orbits)
     if target is not None:
         t0, te = target[0], target[1:]
         deg_top = min(deg_top, t0)
         slot_caps = [(i < 2) - x for i, x in enumerate(te)]
         floors = [t0 + min(te[i] for i in orbit) for orbit in orbits]
+        antik_t = 3 * t0 + sum(te)
+        marks = [max(-te[i] for i in orbit) - antik_t for orbit in orbits]
     for j in zero_slots:
         slot_caps[j - 1] = min(slot_caps[j - 1], 0)
     caps = [min(slot_caps[i] for i in orbit) for orbit in orbits]
     if min(caps) < 0:
         return ()  # every nef class has m_i >= 0
+    e_ms = [j - 1 for j in e_slots]
+    # e_share[k]: how many of the E slots the k-th orbit holds, if it is the
+    # last orbit to hold any, else 0
+    e_share = [0] * len(orbits)
+    if e_ms:
+        last = max(k for k, o in enumerate(orbits) if set(o) & set(e_ms))
+        e_share[last] = len(set(orbits[last]) & set(e_ms))
     # room_after[k][r]: the most the orbits after the k-th can add when
-    # every slot has room r under its cap
-    room_after = [
-        [
-            sum(len(o) * min(r, c) for o, c in zip(orbits[k + 1:], caps[k + 1:]))
-            for r in range(deg_top + 1)
-        ]
-        for k in range(len(orbits))
-    ]
+    # every slot has room r under its cap, summed from the last orbit back
+    room_after = [[0] * (deg_top + 1)]
+    for o, c in zip(orbits[:0:-1], caps[:0:-1]):
+        row = room_after[-1]
+        room_after.append([x + len(o) * min(r, c) for r, x in enumerate(row)])
+    room_after.reverse()
     for deg in range(1, deg_top + 1):
         s_lo = 3 * deg - max_antik
         s_hi = min(3 * deg - 1, (12 * deg) // 5)
         # per orbit: its slots, their count, its least and most value at
-        # this degree (before v + max m <= d) and its room_after row
+        # this degree (before v + max m <= d and the E cap), its room_after
+        # row, its conic lower end of S at v = 0 (s_lo, never binding,
+        # without a target) and its share of the E slots
         plan = [
-            (o, len(o), max(0, deg - f), min(c, deg // len(o)), row)
-            for o, f, c, row in zip(orbits, floors, caps, room_after)
+            (o, len(o), max(0, deg - f), min(c, deg // len(o)), row,
+             s_lo if mark is None else 3 * deg + mark, share)
+            for o, f, c, row, mark, share in zip(
+                orbits, floors, caps, room_after, marks, e_share)
         ]
 
-        def rec(orbit_idx: int, m: list, max_m: int, total: int) -> None:
+        def rec(orbit_idx: int, m: list, max_m: int, total: int, need: int) -> None:
             if orbit_idx == len(orbits):
                 if 2 * deg >= total - min(m) and (
                     target is None
@@ -379,23 +408,29 @@ def nef_classes_up_to(
                 ):
                     found.append(DivisorClass([deg] + [-x for x in m]))
                 return
-            orbit, size, lo, top, room = plan[orbit_idx]
+            orbit, size, lo, top, room, conic, share = plan[orbit_idx]
             if top > deg - max_m:
                 top = deg - max_m
+            if share:
+                # the orbit's own and the later slots of m are still 0
+                e_top = (deg - 1 - sum(m[i] for i in e_ms)) // share
+                if top > e_top:
+                    top = e_top
             for v in range(lo, top + 1):
                 new_total = total + v * size
                 if new_total > s_hi:
                     break
                 new_max = v if v > max_m else max_m
-                if new_total + room[deg - new_max] < s_lo:
+                new_need = conic - v if conic - v > need else need
+                if new_total + room[deg - new_max] < new_need:
                     continue
                 for i in orbit:
                     m[i] = v
-                rec(orbit_idx + 1, m, new_max, new_total)
+                rec(orbit_idx + 1, m, new_max, new_total, new_need)
             for i in orbit:
                 m[i] = 0
 
-        rec(0, [0] * 6, 0, 0)
+        rec(0, [0] * 6, 0, 0, s_lo)
         # rec refers to itself, a cycle that only the cyclic collector frees
         del rec
     return tuple(sorted(found))
@@ -452,11 +487,23 @@ def candidate_factors(
     blown-down curves.  With a `target` t only the candidates b with
     t - b feasible are kept (see feasible): the engine passes the c = 0
     target D - E of a key, whose factor collections draw on no other
-    candidate (see engine.Evaluator._table).  On the rank-7 model a
-    blocked E_j meets dL - sum m_i E_i in m_j, so it holds slot j of the
-    nef enumeration at 0 instead of filtering its output.  The class
-    -(K+E) is kept here, its exclusion as a factor is enforced at the use
-    site.
+    candidate (see engine.Evaluator._table).  The class -(K+E) is kept
+    here, its exclusion as a factor is enforced at the use site.
+
+    On the rank-7 model the nef classes are cut inside the enumeration,
+    not filtered after it.  A blocked E_j meets dL - sum m_i E_i in m_j,
+    so it holds slot j at 0.  E = L - E_a - E_b meets it in d - m_a - m_b,
+    so E.D >= 1 is the cap m_a + m_b <= d - 1 on the enumeration's slots
+    a and b, with or without a target, and no class it returns fails the
+    E test.  A target t enters as feasible(t - D) does: the caps and
+    floors of its coordinates and L - E_i conics, and its conics
+    3L - 2E_i - others, which ask -K.(t - D) >= -t_i - m_i, that is
+    S >= 3d + K.t - t_i - m_i for S = sum m_i.  That lower end only grows
+    as slots are assigned, and a branch's total only shrinks below the
+    most it can reach, so a branch cut by it holds no class whose
+    remainder meets those conics, the ones the leaf test would drop.  The
+    2L - four E_k conics are still tested at the leaf.  An untargeted call
+    has no remainder and keeps the window's own lower end 3d - antik_budget.
     """
     if antik_budget < 1:
         raise ValueError("anticanonical budget must be >= 1")
@@ -465,15 +512,20 @@ def candidate_factors(
         if target is None
         or feasible(lat, tuple(map(operator.sub, target, line.coords)))
     ]
-    zero_slots, crossing = (), blocked  # crossing: the blocked classes filtered here
+    zero_slots, e_slots, crossing = (), (), blocked  # crossing: filtered here
     if lat.model == "p2":
         exceptional = lat.lines[:6]  # E_j, whose slot j holds m_j
         zero_slots = tuple(
             1 + exceptional.index(b) for b in blocked if b in exceptional
         )
         crossing = tuple(b for b in blocked if b not in exceptional)
-    for d in nef_classes_up_to(lat, conj_perm, antik_budget, target, zero_slots):
-        if lat.intersect(d, e_class) < 1:
+        e_slots = tuple(j for j in range(1, 7) if e_class.coords[j])
+        if e_class.coords != tuple(int(j == 0) - (j in e_slots) for j in range(7)):
+            raise ValueError("rank-7 E must be L minus exceptional classes")
+    for d in nef_classes_up_to(
+        lat, conj_perm, antik_budget, target, zero_slots, e_slots
+    ):
+        if lat.model == "cubic" and lat.intersect(d, e_class) < 1:
             continue
         if any(lat.intersect(d, b) != 0 for b in crossing):
             continue

@@ -26,6 +26,7 @@ component) only where the real part is disconnected, i.e. on B1 and B.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -91,6 +92,11 @@ class SurfaceSpec:
         return self.lattice.canonical + self.e_class
 
     def minus_k_plus_e(self) -> DivisorClass:
+        return self._mke
+
+    @functools.cached_property
+    def _mke(self) -> DivisorClass:
+        # built on first use: every table build and initial lookup reads it
         return -self.k_plus_e()
 
     def conj(self, d: DivisorClass) -> DivisorClass:

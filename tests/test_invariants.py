@@ -1,5 +1,6 @@
 import pytest
 
+from welschinger.engine import Evaluator
 from welschinger.errors import ValidationError
 from welschinger.invariants import (
     blowdown_scan,
@@ -32,6 +33,26 @@ def test_cubic_and_conic_values(shared):
     assert welschinger(spec, spec.parse_class("-2K"), ev) == 160
     spec, ev = shared("B", twist="F")
     assert welschinger(spec, spec.parse_class("2,1,1"), ev) == 4
+
+
+# The Welschinger invariants W_d of the real plane, which count real rational
+# curves of degree d through 3d - 1 real points (Itenberg-Kharlamov-Shustin,
+# IMRN 2003, "Welschinger invariant and enumeration of real rational curves";
+# Arroyo-Brugalle-Lopez de Medrano, IMRN 2011, "Recursive formulas for
+# Welschinger invariants of the projective plane").  On P2[6,0] the class dL
+# with every m_i = 0 holds the curves that miss the six blown-up points.  Its
+# D - E has t_1 = t_2 = 1, the boundary of the nef enumeration's E cap.
+PLANE = {1: 1, 2: 1, 3: 8, 4: 240, 5: 18264, 6: 2845440, 7: 792731520,
+         8: 359935488000}
+PLANE_STATES = {1: 3, 2: 6, 3: 10, 4: 17, 5: 27, 6: 42, 7: 65, 8: 98}
+
+
+@pytest.mark.parametrize("d", sorted(PLANE))
+def test_plane_welschinger_numbers_cold(d):
+    spec = make_surface("P2", 6, 0)
+    ev = Evaluator(spec)
+    assert welschinger(spec, spec.parse_class(f"{d};0,0,0,0,0,0"), ev) == PLANE[d]
+    assert ev.cache_stats()["entries"] == PLANE_STATES[d]
 
 
 def test_invariant_report(shared):

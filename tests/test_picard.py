@@ -1,5 +1,7 @@
 import functools
 import itertools
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,11 +97,10 @@ def test_cubic_nef_big_criterion_equals_general_rule():
         assert is_nef_big(CUBIC_LATTICE, d) == general
 
 
-def test_nef_enumeration_matches_brute_force_oracle():
-    # Oracle: the plain product of multiplicities 0 <= m_i <= d <= 5B/3, kept
-    # inside the window 1 <= -K.D <= B when the 27-line test calls it nef;
-    # the conjugation-invariant part is then taken for each reality pattern.
-    budget = 5
+@functools.lru_cache(maxsize=None)
+def _product_nef(budget):
+    """The plain product of multiplicities 0 <= m_i <= d <= 5B/3, kept
+    inside the window 1 <= -K.D <= B when the 27-line test calls it nef."""
     nef = []
     for deg in range(5 * budget // 3 + 1):
         for m in itertools.product(range(deg + 1), repeat=6):
@@ -107,6 +108,14 @@ def test_nef_enumeration_matches_brute_force_oracle():
                 d = DivisorClass((deg,) + tuple(-x for x in m))
                 if is_nef(P2_LATTICE, d):
                     nef.append(d)
+    return tuple(nef)
+
+
+def test_nef_enumeration_matches_brute_force_oracle():
+    # Oracle: the product enumeration; the conjugation-invariant part is
+    # then taken for each reality pattern.
+    budget = 5
+    nef = _product_nef(budget)
     for n_real in (6, 4, 2, 0):
         perm = conj_perm_p2(n_real)
         real = sorted(d for d in nef if conj_class(perm, d) == d)
@@ -235,6 +244,47 @@ def test_targeted_enumeration_equals_filtered_enumeration(pattern, budget, data)
         and all(lat.intersect(d, b) == 0 for b in blocked)
     )
     assert candidate_factors(lat, perm, e_cls, budget, blocked, target) == want
+
+
+@pytest.mark.parametrize("n_real", [6, 4, 2, 0])
+def test_target_cut_and_e_cap_match_product_and_filter(n_real):
+    # Oracle: the conjugation-invariant classes of the product enumeration,
+    # filtered after the fact by the budget, the zero slots, E.D >= 1 and
+    # _fits.  Targets are D - E for classes D of the product, shifted by
+    # -1..1 on each E_i and by -1..2 in degree, so that -K.t falls below,
+    # at and above the budget; every case also runs without a target.
+    lat, perm = P2_LATTICE, conj_perm_p2(n_real)
+    rng = random.Random(n_real)
+    cone = sorted(d for d in _product_nef(5) if conj_class(perm, d) == d)
+    sides = set()
+    for budget in range(1, 6):
+        plain = [d for d in cone if -lat.intersect(lat.canonical, d) <= budget]
+        targets = [None]
+        for d in rng.sample(cone, 12):
+            shift = [rng.randint(-1, 2)] + [rng.randint(-1, 1) for _ in range(6)]
+            targets.append(tuple(map(operator.add, (d - E_AUX).coords, shift)))
+        for target in targets:
+            if target is not None:
+                antik_t = -lat.intersect(lat.canonical, DivisorClass(target))
+                sides.add((antik_t > budget) - (antik_t < budget))
+            fit = [d for d in plain if target is None or _fits(lat, target, d)]
+            for zero_slots in ((), (4,), (5, 6)):
+                blocked = tuple(e_(j) for j in zero_slots)
+                held = [d for d in fit if all(d.coords[j] == 0 for j in zero_slots)]
+                assert nef_classes_up_to(lat, perm, budget, target, zero_slots) == tuple(held)
+                e_pos = [d for d in held if lat.intersect(d, E_AUX) >= 1]
+                got = nef_classes_up_to(lat, perm, budget, target, zero_slots, (1, 2))
+                assert got == tuple(e_pos), (budget, target, zero_slots)
+                lines = [
+                    line for line in lat.lines
+                    if conj_class(perm, line) == line
+                    and lat.intersect(line, E_AUX) >= 1
+                    and all(lat.intersect(line, b) == 0 for b in blocked)
+                    and (target is None or _fits(lat, target, line))
+                ]
+                got = candidate_factors(lat, perm, E_AUX, budget, blocked, target)
+                assert got == tuple(sorted(set(lines + e_pos))), (budget, target)
+    assert sides == {-1, 0, 1}
 
 
 coords7 = st.tuples(*[st.integers(min_value=-4, max_value=4)] * 7)
