@@ -312,22 +312,6 @@ def blowdown_scan(antik_bound: int) -> List[Tuple[DivisorClass, int, int, bool]]
     return rows
 
 
-def e_independence_scan(
-    antik_bound: int,
-) -> List[Tuple[DivisorClass, Tuple[int, int, int], bool]]:
-    """The cubic invariant, with the component twist F, computed with each of
-    the three real lines as E."""
-    specs = [
-        make_surface("B1", twist="F", e_choice=e) for e in ("1,0,0", "0,1,0", "0,0,1")
-    ]
-    evs = [Evaluator(s) for s in specs]
-    rows = []
-    for d in specs[0].nef_big_classes(antik_bound):
-        vals = tuple(welschinger(s, d, ev) for s, ev in zip(specs, evs))
-        rows.append((d, vals, len(set(vals)) == 1))
-    return rows
-
-
 def path_equivalence_scan(
     antik_bound: int,
 ) -> List[Tuple[DivisorClass, int, int, bool]]:
@@ -388,14 +372,6 @@ def sample_monotone_pairs(
 # -- growth -------------------------------------------------------------------------
 
 
-def _log_big(n: int) -> float:
-    s = n.bit_length()
-    if s <= 53:
-        return math.log(n)
-    top = n >> (s - 53)
-    return math.log(top) + (s - 53) * math.log(2.0)
-
-
 @dataclass(frozen=True)
 class GrowthRow:
     n: int
@@ -421,6 +397,6 @@ def growth_report(
         if n == 1 or value <= 0:
             ratio = None
         else:
-            ratio = _log_big(value) / (n * math.log(n))
+            ratio = math.log(value) / (n * math.log(n))
         rows.append(GrowthRow(n, value, ratio))
     return rows

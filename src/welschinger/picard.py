@@ -194,16 +194,6 @@ def is_nef(lat: Lattice, d: DivisorClass) -> bool:
 
 
 def is_nef_big(lat: Lattice, d: DivisorClass) -> bool:
-    if lat.model == "cubic":
-        d1, d2, d3 = d.coords
-        return (
-            d1 > 0
-            and d2 > 0
-            and d3 > 0
-            and d1 + d2 >= d3
-            and d1 + d3 >= d2
-            and d2 + d3 >= d1
-        )
     return is_nef(lat, d) and lat.intersect(d, d) > 0
 
 

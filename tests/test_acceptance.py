@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import List, Tuple
 
 from conftest import get_evaluator
 
@@ -13,7 +14,6 @@ from welschinger.engine import Evaluator, make_key
 from welschinger.store import cache_load, cache_save
 from welschinger.invariants import (
     blowdown_scan,
-    e_independence_scan,
     monotonicity_check,
     path_equivalence_scan,
     positivity_scan,
@@ -22,6 +22,7 @@ from welschinger.invariants import (
     top_key,
     welschinger,
 )
+from welschinger.picard import DivisorClass
 from welschinger.surfaces import make_surface
 from welschinger.tangency import TangencyVector, theta
 
@@ -104,6 +105,22 @@ def test_criterion_2_hand_expansion_oracle():
                    "hand expansion: +1 consumption, +1 two-line split, "
                    "pair terms +1+1-1-1, total 2")
     assert ok
+
+
+def e_independence_scan(
+    antik_bound: int,
+) -> List[Tuple[DivisorClass, Tuple[int, int, int], bool]]:
+    """The cubic invariant, with the component twist F, computed with each of
+    the three real lines as E."""
+    specs = [
+        make_surface("B1", twist="F", e_choice=e) for e in ("1,0,0", "0,1,0", "0,0,1")
+    ]
+    evs = [Evaluator(s) for s in specs]
+    rows = []
+    for d in specs[0].nef_big_classes(antik_bound):
+        vals = tuple(welschinger(s, d, ev) for s, ev in zip(specs, evs))
+        rows.append((d, vals, len(set(vals)) == 1))
+    return rows
 
 
 def test_criterion_3_e_independence():

@@ -1,11 +1,15 @@
 import hashlib
+import importlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from welschinger import cli
 from welschinger.store import CACHE_HEADER, cache_load
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -506,6 +510,21 @@ def test_monotonicity_scan_below_smallest_bound(capsys):
     assert code == 0 and out.count("ok") == 10
 
 
+@pytest.mark.parametrize("surface, bound", [
+    (("--surface", "P2[4,1]"), "5"),
+    (("--surface", "P2[4,1]"), "8"),
+    (("--surface", "P2[2,2]"), "5"),
+    (("--surface", "P2[2,2]"), "8"),
+    (_B1F, "5"),
+], ids=["P2[4,1]-5", "P2[4,1]-8", "P2[2,2]-5", "P2[2,2]-8", "B1F-5"])
+def test_monotonicity_scan_on_other_surfaces(capsys, surface, bound):
+    code, out, _ = run(capsys, "scan", *surface, "--mode", "monotonicity",
+                       "--bound", bound, "--no-cache")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 10 and all(row.endswith("  ok") for row in rows)
+
+
 def test_monotonicity_scan_rejects_conic_bundle_model(capsys):
     # Chains do not exist on model B, whatever the bound.
     for bound in ("4", "6"):
@@ -515,3 +534,15 @@ def test_monotonicity_scan_rejects_conic_bundle_model(capsys):
         assert code == 3
         assert out == ""
         assert "chains run on the uncontracted models" in err
+
+
+def test_benchmark_tracer_patches_existing_names(monkeypatch):
+    # The traced benchmark run wraps program functions by name; a renamed
+    # or removed function must fail here rather than in the benchmark.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # getattr on every patched name raises if one is gone
+    finally:
+        tracer.uninstall()

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
+from welschinger import invariants
 from welschinger.engine import Evaluator
 from welschinger.errors import ValidationError
 from welschinger.invariants import (
     blowdown_scan,
-    e_independence_scan,
     growth_report,
     invariant_report,
     monotonicity_check,
@@ -17,6 +19,8 @@ from welschinger.invariants import (
 )
 from welschinger.picard import DivisorClass
 from welschinger.surfaces import make_surface
+
+from test_acceptance import e_independence_scan
 
 
 def test_anticanonical_row(shared):
@@ -196,6 +200,17 @@ def test_growth_report(shared):
     assert all(a < b for a, b in zip(values, values[1:]))  # monotone chain
     with pytest.raises(ValidationError):
         growth_report(spec, spec.parse_class("0,1,1"), 2, ev)  # not big
+
+
+@pytest.mark.parametrize("n, value, ratio", [
+    (7, 65335840566939746304, "3.349595"),  # W(-7K) on B1/F, above 2**53
+    (9, 3**700, f"{700 * math.log(3) / (9 * math.log(9)):.6f}"),  # above 2**1000
+], ids=["W(-7K)", "3**700"])
+def test_growth_ratio_of_large_values(shared, monkeypatch, n, value, ratio):
+    spec, ev = shared("B1", twist="F")
+    monkeypatch.setattr(invariants, "welschinger", lambda *_: value)
+    rows = growth_report(spec, spec.parse_class("-K"), n, ev)
+    assert f"{rows[-1].ratio:.6f}" == ratio
 
 
 def test_e_independence_high_degree(shared):

@@ -90,11 +90,15 @@ def test_nef_big_examples():
 
 
 def test_cubic_nef_big_criterion_equals_general_rule():
-    # triangle-plus-positive coefficients versus nef with positive square
-    for coords in itertools.product(range(0, 5), repeat=3):
-        d = DivisorClass(coords)
-        general = is_nef(CUBIC_LATTICE, d) and CUBIC_LATTICE.intersect(d, d) > 0
-        assert is_nef_big(CUBIC_LATTICE, d) == general
+    # The general rule (nef with positive square) decides the cubic: D is nef
+    # and big there exactly when its coefficients are positive and satisfy
+    # the triangle inequalities.
+    for d1, d2, d3 in itertools.product(range(-6, 16), repeat=3):
+        triangle = (
+            d1 > 0 and d2 > 0 and d3 > 0
+            and d1 + d2 >= d3 and d1 + d3 >= d2 and d2 + d3 >= d1
+        )
+        assert is_nef_big(CUBIC_LATTICE, DivisorClass((d1, d2, d3))) == triangle
 
 
 @functools.lru_cache(maxsize=None)
