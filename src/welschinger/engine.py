@@ -52,6 +52,10 @@ but are different factors.  On the cubic the map is the identity and the
 key stays the raw coordinates.  `canonicalize=False` keys the memo by raw
 classes, the oracle the relabelling checks need.
 
+The surface's constants (the orbit map, the pair subsets, K + E, and the
+forms whose dot products with a class's coordinates are its E-, -K and
+-(K + E) degrees) are SurfaceSpec's cached properties, built once per spec.
+
 A persistent store (store.py) is read on demand: a memo miss of the full
 route formats the key, with the function that also writes the store, and
 adopts a stored value into the memo.  Its keys are orbit representatives;
@@ -119,8 +123,9 @@ search descends into it.
 A block's picks are tested the same way: whether a pick fits the node's n
 budget and alpha budget, and whether its factor's value is nonzero,
 depends on the block and those two budgets only.  So each block keeps a
-live-pick memo (_live_picks): per (n budget, alpha budget packed) the
-tuple of the indices of the picks that pass, ascending, and a node walks
+live-pick memo (_live_picks): per (n budget, alpha budget packed), or per
+n budget alone where no pick fixes a tangency (every block of E-degree 1),
+the tuple of the indices of the picks that pass, ascending, and a node walks
 its entry from the node's pick index on (bisect), testing only the beta
 fit.  The n budget is clamped to the block's largest n_i, and a node
 whose n budget is below the block's least n_i skips the block, so
@@ -135,8 +140,9 @@ The search holds its remaining alpha budget and beta target packed
 with a guard bit, so that a pick's fit is one subtraction and mask and
 its remainder one integer subtraction.  The template rows and options
 carry their packed vectors next to the TangencyVector ones, and the
-evaluator lists the v0 <= v of a tangency vector v, with |v0|, I(v0) and
-v - v0 packed, once for all states: their alpha0 and beta0 choices.
+process lists the v0 <= v of a tangency vector v, with |v0|, I(v0) and
+v - v0 packed, once for all states (_split_list): their alpha0 and beta0
+choices.
 Only the search sees the packed form: keys, summands, records and the
 store hold TangencyVector objects.
 
@@ -312,8 +318,9 @@ class _Block:
     picks: Tuple[Tuple[_Option, tuple, int], ...]
     n_min: int  # the least and the largest n_i of the picks
     n_max: int
-    # live-pick memo: a * (n_max + 1) + n for the n budget n clamped to
-    # n_max and the packed alpha budget a -> the indices into picks that
+    a_step: int  # n_max + 1, or 0 when no pick fixes a tangency (alpha_i = 0)
+    # live-pick memo: a * a_step + n for the n budget n clamped to n_max and
+    # the packed alpha budget a -> the indices into picks that
     # Evaluator._live_picks(n, a) keeps; see Evaluator._collections
     live: Dict[int, tuple] = field(default_factory=dict, compare=False, repr=False)
 
@@ -394,6 +401,17 @@ def _option_template(e_deg: int) -> Tuple[tuple, ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _split_list(v: TangencyVector) -> tuple:
+    """The (v0, |v0|, I(v0), pack(v) - pack(v0)) for each v0 <= v, in
+    enumerate_le order: the alpha0 and beta0 lists of
+    Evaluator._split_terms, built once per process."""
+    p_v = pack(v)
+    return tuple(
+        (v0, norm(v0), iweight(v0), p_v - pack(v0)) for v0 in enumerate_le(v)
+    )
+
+
 def _multinomial_exact(total: int, parts: List[int], context: str) -> int:
     """(total)! / prod(parts!) with sum(parts) == total, division-free."""
     result = 1
@@ -436,14 +454,16 @@ def _weight(chosen: tuple, ns: int, a_rest: TangencyVector) -> int:
 class Evaluator:
     """Shared-store evaluator bound to one surface specification.
 
-    Thread-safety: every memo (values, searches, split targets, split lists,
-    the tables' fit memos, the blocks' live-pick memos and the table of
-    their distinct entries) changes only by idempotent dictionary inserts
-    under canonical value-determining keys, so concurrent use converges to
-    identical contents: two threads that make the same search at once store
-    equal ints S (see _split_terms), two that build one split-target or
-    split-list entry store equal tuples, and two that build one block's live
-    entry store equal tuples of ints, indices into that block's picks.  A
+    Thread-safety: every memo (values, searches, split targets, the tables'
+    fit memos, the blocks' live-pick memos and the table of their distinct
+    entries) belongs to one evaluator and changes only by idempotent
+    dictionary inserts under canonical value-determining keys, so concurrent
+    use converges to identical contents: two threads that make the same
+    search at once store equal ints S (see _split_terms), two that build one
+    split-target entry store equal tuples, and two that build one block's
+    live entry store equal tuples of ints, indices into that block's picks.
+    The spec's constants and the process's split lists are built from the
+    spec or the vector alone, so a race builds equal ones.  A
     route's factor table is never mutated in place: a switch to the whole
     cone or a growth replaces the route's (budget, target, blocks, fit
     memo), the memo new and empty, in one assignment, so a reader holds the
@@ -464,47 +484,14 @@ class Evaluator:
         self.misses = 0
         # memo keys are orbit representatives; off, the memo is keyed by raw
         # classes (the oracle the relabelling checks need)
-        self._canon = spec.orbit_map() if canonicalize else None
-        menu = spec.pair_menu
-        subsets = []
-        zero = DivisorClass((0,) * spec.lattice.rank)
-        for mask in range(1 << len(menu)):
-            idxs = tuple(i for i in range(len(menu)) if mask >> i & 1)
-            total = zero
-            weight = 1
-            for i in idxs:
-                total = total + menu[i].class_sum
-                weight *= menu[i].weight
-            subsets.append((
-                tuple(menu[i].item_id for i in idxs), total.coords,
-                spec.e_degree(total), spec.antik_degree(total), weight,
-            ))
-        self._full = _Route({}, math.inf, tuple(subsets), False)
-        # The reduced route of the twisted cubic; subsets[0] is the empty one.
-        self._reduced = _Route({}, 0, self._full.pair_subsets[:1], True)
-        self._zero_coords = zero.coords
+        self._canon = spec.state_map if canonicalize else None
+        self._full = _Route({}, math.inf, spec.pair_subsets, False)
+        # The reduced route of the twisted cubic; pair_subsets[0] is the empty one.
+        self._reduced = _Route({}, 0, spec.pair_subsets[:1], True)
+        self._zero_coords = (0,) * spec.lattice.rank
         self._indices: Tuple[int, ...] = ()  # shared by the fit memos, see _fitting
         # one tuple object per distinct live-pick entry, see _live_picks
         self._live_entries: Dict[tuple, tuple] = {}
-        # tangency vector v -> (v0, |v0|, I(v0), pack(v) - pack(v0)) for each
-        # v0 <= v in enumerate_le order: the alpha0 and beta0 lists of
-        # _split_terms
-        self._split_lists: Dict[TangencyVector, tuple] = {}
-        # The split sum's targets D - E + c (K + E), on coordinates; their -K
-        # degree moves by _ke_antik per unit of c.
-        ke = spec.k_plus_e()
-        self._ke_coords = ke.coords
-        self._ke_antik = spec.antik_degree(ke)
-        # E.x as a dot product with these coefficients, the E-degrees of the
-        # basis classes (the Gram matrix times E)
-        self._e_form = tuple(
-            sum(map(operator.mul, row, spec.e_class.coords))
-            for row in spec.lattice.gram
-        )
-        # lines other than E: the rigid factors the reduced route admits
-        self._line_coords = frozenset(
-            line.coords for line in spec.lattice.lines if line != spec.e_class
-        )
         if store:
             self.preload(store)
 
@@ -638,7 +625,8 @@ class Evaluator:
         dimension 0 the one initial summand, a table lookup; above it the
         first sum in beta order, then the split sum, folded per search
         unless records asks for a summand per factor collection."""
-        n = self.spec.r_dim_class(d, norm(beta))
+        # n = -D.(K + E) + |beta| - 1
+        n = sum(map(operator.mul, d.coords, self.spec.dim_form)) + norm(beta) - 1
         if n < 0:
             return
         if n == 0:
@@ -740,16 +728,16 @@ class Evaluator:
         """
         spec = self.spec
         d_minus_e = tuple(map(operator.sub, d.coords, spec.e_class.coords))
-        budget = spec.antik_degree(d) - 1  # -K.(D - E), as -K.E = 1
+        budget = sum(map(operator.mul, d.coords, spec.antik_form)) - 1  # -K.(D - E)
         table = self._table(route, budget, d_minus_e) if budget >= 1 else ((), {})
         admitted = self._split_targets(route, d, d_minus_e, budget)
         n1 = n - 1
         i_beta = iweight(beta)
         # The search takes its alpha budget and beta target packed
         # (tangency.pack), alpha - alpha0 and beta - beta0.
-        beta0s = self._split_list(beta)
+        beta0s = _split_list(beta)
         searches = route.searches
-        for alpha0, _, ia0, a_budget in self._split_list(alpha):
+        for alpha0, _, ia0, a_budget in _split_list(alpha):
             for beta0, nb0, ib0, bm_target in beta0s:
                 if nb0 > n1:
                     continue
@@ -829,8 +817,8 @@ class Evaluator:
         # T feasible (picard.feasible).  Only these reach the search.
         spec = self.spec
         zero_t = self._zero_coords
-        ke, ke_antik, e_form = self._ke_coords, self._ke_antik, self._e_form
-        te_base = spec.e_degree(d) + 1  # E.(D - E), as E.E = -1
+        ke, ke_antik, e_form = spec.ke_coords, spec.ke_antik, spec.e_form
+        te_base = sum(map(operator.mul, d.coords, e_form)) + 1  # E.(D - E)
         intern = route.targets.setdefault
         admitted = []
         for c in range(te_base // 2 + 1):
@@ -850,17 +838,6 @@ class Evaluator:
             admitted.append(tuple(row))
         admitted = route.split_targets[d.coords] = tuple(admitted)
         return admitted
-
-    def _split_list(self, v: TangencyVector) -> tuple:
-        """The (v0, |v0|, I(v0), pack(v) - pack(v0)) for each v0 <= v, in
-        enumerate_le order, listed once per evaluator."""
-        entry = self._split_lists.get(v)
-        if entry is None:
-            p_v = pack(v)
-            entry = self._split_lists[v] = tuple(
-                (v0, norm(v0), iweight(v0), p_v - pack(v0)) for v0 in enumerate_le(v)
-            )
-        return entry
 
     def _fold(
         self,
@@ -995,7 +972,7 @@ class Evaluator:
                 # is evaluated whenever its option fits n and alpha.
                 n_max = blk.n_max
                 n = ns_rem if ns_rem < n_max else n_max
-                key = a_rem * (n_max + 1) + n  # (n, a_rem), one int
+                key = a_rem * blk.a_step + n  # (n, a_rem), one int
                 live = blk.live.get(key)
                 if live is None:
                     live = blk.live[key] = live_picks(route, blk, n, a_rem)
@@ -1093,10 +1070,14 @@ class Evaluator:
             if blk is None:
                 if cls == mke:
                     continue
-                e_deg, antik = spec.e_degree(cls), spec.antik_degree(cls)
+                e_deg = sum(map(operator.mul, cls.coords, spec.e_form))
+                antik = sum(map(operator.mul, cls.coords, spec.antik_form))
                 picks = self._picks(cls, e_deg, antik, route.rigid_lines_only)
                 n_is = [opt.n_i for opt, _, _ in picks]
-                blk = _Block(cls.coords, e_deg, antik, picks, min(n_is), max(n_is))
+                n_max = max(n_is)
+                # a block whose picks fix no tangency keys its live picks by n
+                a_step = n_max + 1 if any(opt.palpha for opt, _, _ in picks) else 0
+                blk = _Block(cls.coords, e_deg, antik, picks, min(n_is), n_max, a_step)
             new.append(blk)
         new.sort(key=lambda b: (b.antik, b.coords))
         blocks, fits = tuple(new), {}
@@ -1113,7 +1094,7 @@ class Evaluator:
         (n_i = 0, alpha = 0), which appears at most once."""
         base = antik - e_deg - 1  # n_i = base + |beta|
         coords = cls.coords
-        line = coords in self._line_coords
+        line = coords in self.spec.other_line_coords
         key_coords = self._canon(coords) if self._canon else coords
         picks: List[Tuple[_Option, tuple, int]] = []
         for av, pa, bv, nb, gammas, a_key, b_key, simple in _option_template(e_deg):

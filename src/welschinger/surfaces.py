@@ -123,6 +123,58 @@ class SurfaceSpec:
     def parse_class(self, text: str) -> DivisorClass:
         return parse_class(self.lattice, text)
 
+    # -- the evaluator's constants ----------------------------------------------
+    # Built on first use and kept with the spec; none depends on a value.
+
+    @functools.cached_property
+    def state_map(self) -> Optional[Callable[[Tuple[int, ...]], Tuple[int, ...]]]:
+        return self.orbit_map(move_e=False)
+
+    @functools.cached_property
+    def pair_subsets(self) -> Tuple[tuple, ...]:
+        """Every subset of the pair menu, in bit-mask order from the empty
+        one: (item ids, class-sum coords, its E-degree, its -K degree,
+        weight)."""
+        subsets = [((), (0,) * self.lattice.rank, 0, 0, 1)]
+        for it in self.pair_menu:
+            cs = it.class_sum
+            te, ak = self.e_degree(cs), self.antik_degree(cs)
+            subsets += [
+                (ids + (it.item_id,), tuple(map(operator.add, coords, cs.coords)),
+                 e + te, k + ak, w * it.weight)
+                for ids, coords, e, k, w in subsets
+            ]
+        return tuple(subsets)
+
+    @functools.cached_property
+    def ke_coords(self) -> Tuple[int, ...]:
+        return self.k_plus_e().coords
+
+    @functools.cached_property
+    def ke_antik(self) -> int:  # -K.(K + E)
+        return self.antik_degree(self.k_plus_e())
+
+    @functools.cached_property
+    def other_line_coords(self) -> frozenset:
+        return frozenset(ln.coords for ln in self.lattice.lines if ln != self.e_class)
+
+    # E.x, -K.x and -(K + E).x are the dot products of x's coordinates with
+    # these forms, the Gram matrix times E, -K and -(K + E)
+    def _gram_times(self, d: DivisorClass) -> Tuple[int, ...]:
+        return tuple(sum(map(operator.mul, r, d.coords)) for r in self.lattice.gram)
+
+    @functools.cached_property
+    def e_form(self) -> Tuple[int, ...]:
+        return self._gram_times(self.e_class)
+
+    @functools.cached_property
+    def antik_form(self) -> Tuple[int, ...]:
+        return self._gram_times(-self.lattice.canonical)
+
+    @functools.cached_property
+    def dim_form(self) -> Tuple[int, ...]:
+        return self._gram_times(self._mke)
+
     # -- relabelling orbits --------------------------------------------------------
 
     def orbit_map(

@@ -22,6 +22,7 @@ comparison each take a few integer operations (see pack).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -271,4 +272,5 @@ def pack(v: TangencyVector) -> int:
 
 
 ZERO = _ZERO
-theta = TangencyVector.theta
+# one object per (k, count), shared by the whole process: vectors are immutable
+theta = functools.lru_cache(maxsize=None)(TangencyVector.theta)

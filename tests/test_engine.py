@@ -920,7 +920,8 @@ def _check_live_memo(route):
     checked = 0
     for blk in route.table[2]:
         for key, entry in blk.live.items():
-            a, n = divmod(key, blk.n_max + 1)  # n is clamped to n_max
+            # n is clamped to n_max; a block keyed by n alone reads no alpha
+            a, n = divmod(key, blk.a_step) if blk.a_step else (0, key)
             assert n >= blk.n_min
             want = tuple(_live_indices(blk, n, a, route.memo))
             assert entry == want, (blk.coords, n, a)
@@ -946,6 +947,96 @@ def test_live_memo_matches_plain_filter():
         assert any(len(b.picks) == 1 and b.live for b in ev._full.table[2])
         if model == "B1":
             assert _check_live_memo(ev._reduced) > 0
+
+
+def test_live_memo_keyed_by_n_alone_where_no_pick_fixes_a_tangency():
+    # A block none of whose picks has alpha_i != 0, as every block of
+    # E-degree 1, keys its live picks by the n budget alone.  Each such entry
+    # must be the one the (n, alpha)-keyed build gives under every alpha
+    # budget the cold searches used.
+    checked = collections.Counter()
+    for (model, a, b, twist), texts in (
+        (("P2", 2, 2, "0"), ("-2K", "3;1,1,1,1,1,1")),
+        (("P2", 4, 1, "0"), ("-2K", "4;2,1,1,1,1,1")),
+        (("P2", 6, 0, "0"), ("-2K",)),
+        (("B1", 0, 0, "F"), ("-3K", "4,3,2")),
+    ):
+        spec = make_surface(model, a, b, twist=twist)
+        for text in texts:
+            ev = Evaluator(spec)
+            ev.eval(key_of(spec, text))
+            route = ev._full
+            blocks = route.table[2]
+            budgets = {0}
+            for blk in blocks:
+                assert blk.a_step == (
+                    blk.n_max + 1 if any(opt.palpha for opt, _, _ in blk.picks) else 0
+                )
+                if blk.e_deg == 1:
+                    assert blk.a_step == 0
+                if blk.a_step:
+                    budgets.update(key // blk.a_step for key in blk.live)
+            checked["alpha budgets"] += len(budgets) - 1
+            for blk in blocks:
+                if blk.a_step:
+                    continue
+                for n, entry in blk.live.items():
+                    assert n <= blk.n_max
+                    for budget in budgets:
+                        assert ev._live_picks(route, blk, n, budget) == entry
+                    checked["entries"] += 1
+            assert _check_live_memo(route)
+    assert checked["alpha budgets"] and checked["entries"], checked
+
+
+def test_split_lists_are_one_process_table():
+    # The alpha0 and beta0 lists of a tangency vector depend on the vector
+    # alone: one tuple per vector for the whole process, whichever evaluator
+    # or equal vector asks, and the basis vectors are one object per order.
+    rng = random.Random(30)
+    for _ in range(60):
+        v = rng.choice(odd_partitions(rng.randint(0, 9)))
+        want = tuple(
+            (v0, norm(v0), iweight(v0), _pack(v) - _pack(v0))
+            for v0 in enumerate_le(v)
+        )
+        got = engine._split_list(v)
+        assert got == want
+        assert engine._split_list(TangencyVector(dict(v.key()))) is got
+    assert theta(3) is theta(3) and theta(1, 2) is theta(1, 2)
+
+
+def test_evaluators_of_one_spec_share_no_memo():
+    # Two evaluators of one spec read the spec's constants, and share nothing
+    # that depends on a value: memos, tables, fit memos, live-pick entries,
+    # search memos and split targets.
+    for (model, a, b, twist), text in (
+        (("P2", 4, 1, "0"), "-2K"), (("B1", 0, 0, "F"), "-3K"),
+    ):
+        spec = make_surface(model, a, b, twist=twist)
+        one, two = Evaluator(spec), Evaluator(spec)
+        key = key_of(spec, text)
+        for ev in (one, two):
+            ev.eval(key)
+            if model == "B1":
+                ev.eval_cubic_fast(key)
+        assert one._full.pair_subsets is two._full.pair_subsets is spec.pair_subsets
+        assert one._canon is two._canon is spec.state_map
+        assert one._live_entries is not two._live_entries
+        routes = [(one._full, two._full)]
+        if model == "B1":
+            routes.append((one._reduced, two._reduced))
+        for mine, theirs in routes:
+            assert mine.memo and mine.memo == theirs.memo
+            for name in ("memo", "searches", "targets", "split_targets"):
+                assert getattr(mine, name) is not getattr(theirs, name)
+            assert mine.table is not theirs.table
+            assert mine.table[3] is not theirs.table[3]
+            ids = {id(blk) for blk in mine.table[2]}
+            assert ids.isdisjoint(id(blk) for blk in theirs.table[2])
+            assert {id(blk.live) for blk in mine.table[2]}.isdisjoint(
+                id(blk.live) for blk in theirs.table[2]
+            )
 
 
 def test_warm_search_reads_no_block_under_the_state_floors():

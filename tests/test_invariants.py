@@ -20,8 +20,6 @@ from welschinger.invariants import (
 from welschinger.picard import DivisorClass
 from welschinger.surfaces import make_surface
 
-from test_acceptance import e_independence_scan
-
 
 def test_anticanonical_row(shared):
     expected = {(6, 0): 8, (4, 1): 6, (2, 2): 4, (0, 3): 2}
@@ -174,13 +172,6 @@ def test_symmetry_scan(shared):
 def test_blowdown_scan():
     rows = blowdown_scan(5)
     assert rows and all(same for *_, same in rows)
-
-
-def test_e_independence_scan():
-    rows = e_independence_scan(4)
-    assert rows and all(ok for *_, ok in rows)
-    asym = [r for r in rows if len(set(r[0].coords)) > 1]
-    assert asym  # asymmetric classes genuinely exercise the choice of E
 
 
 def test_path_equivalence_scan():

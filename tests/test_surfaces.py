@@ -1,6 +1,11 @@
+import itertools
+import math
+import random
+
 import pytest
 
 from welschinger.errors import ParseError, ValidationError
+from welschinger.picard import DivisorClass
 from welschinger.surfaces import make_surface, parse_surface
 from welschinger.tangency import TangencyVector, theta
 
@@ -192,3 +197,69 @@ def test_parse_surface_dsl():
         parse_surface("P2[a,b]")
     with pytest.raises(ParseError):
         parse_surface("P2[6,0]", blowdown="x,y")
+
+
+def _every_model():
+    """Every P2[a,b] make_surface accepts, P2[6,0] with a blow-down, and B1
+    and B with each twist and each real line that can be E."""
+    specs = []
+    for a, b in itertools.product(range(7), range(4)):
+        try:
+            specs.append(make_surface("P2", a, b))
+        except ValidationError:
+            pass
+    specs.append(make_surface("P2", 6, 0, blowdown=(5, 6)))
+    for twist in ("0", "F"):
+        for e in ("1,0,0", "0,1,0", "0,0,1"):
+            specs.append(make_surface("B1", twist=twist, e_choice=e))
+            if e != "1,0,0":
+                specs.append(make_surface("B", twist=twist, e_choice=e))
+    return specs
+
+
+def test_surface_constants_match_the_lattice():
+    # The evaluator reads E.D, -K.D and the dimension n as dot products with
+    # the spec's forms; each must be what Lattice.intersect and r_dim_class
+    # give, on random classes of every model.
+    rng = random.Random(30)
+    specs = _every_model()
+    assert len(specs) == 23
+    for spec in specs:
+        lat = spec.lattice
+        ke = lat.canonical + spec.e_class
+        assert spec.ke_coords == ke.coords
+        assert spec.ke_antik == -lat.intersect(lat.canonical, ke)
+        assert spec.other_line_coords == {
+            line.coords for line in lat.lines if line != spec.e_class
+        }
+        menu = spec.pair_menu
+        assert len(spec.pair_subsets) == 1 << len(menu)
+        assert spec.pair_subsets[0] == ((), (0,) * lat.rank, 0, 0, 1)
+        for mask, row in enumerate(spec.pair_subsets):
+            ids, coords, e_deg, antik, weight = row
+            items = [it for i, it in enumerate(menu) if mask >> i & 1]
+            assert ids == tuple(it.item_id for it in items)
+            total = DivisorClass(coords)
+            zero = DivisorClass((0,) * lat.rank)
+            assert total == sum((it.class_sum for it in items), zero)
+            assert e_deg == lat.intersect(total, spec.e_class)
+            assert antik == -lat.intersect(lat.canonical, total)
+            assert weight == math.prod(it.weight for it in items)
+        assert spec.state_map is spec.state_map
+        wide = spec.orbit_map(move_e=False)
+        for _ in range(200):
+            coords = tuple(rng.randint(-9, 9) for _ in range(lat.rank))
+            d = DivisorClass(coords)
+
+            def dot(form):
+                return sum(x * f for x, f in zip(coords, form))
+
+            assert dot(spec.e_form) == lat.intersect(d, spec.e_class)
+            assert dot(spec.antik_form) == -lat.intersect(lat.canonical, d)
+            for beta_norm in range(4):
+                n = dot(spec.dim_form) + beta_norm - 1
+                assert n == spec.r_dim_class(d, beta_norm)
+            if wide is None:
+                assert spec.state_map is None
+            else:
+                assert spec.state_map(coords) == wide(coords)
